@@ -1,0 +1,50 @@
+package main
+
+import (
+	"math"
+	"sort"
+)
+
+// quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
+// interpolation between closest ranks over a sorted copy — exact for the
+// retained samples, never bucketed. NaN for an empty sample.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return sortedQuantile(s, q)
+}
+
+// sortedQuantile is quantile over an already ascending slice.
+func sortedQuantile(s []float64, q float64) float64 {
+	if len(s) == 0 {
+		return math.NaN()
+	}
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return s[lo]
+	}
+	return s[lo] + (pos-float64(lo))*(s[hi]-s[lo])
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+func sum(xs []float64) float64 {
+	t := 0.0
+	for _, x := range xs {
+		t += x
+	}
+	return t
+}
+
+// ratio is num/den, or 0 when nothing was attempted.
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
