@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-json bench-smoke profile quick-equivalence fuzz-smoke checkpoint-idempotence obs-smoke reach-check stream-check server-smoke loadgen-smoke
+.PHONY: check build vet test race bench bench-json bench-smoke profile quick-equivalence fuzz-smoke checkpoint-idempotence obs-smoke stream-check server-smoke loadgen-smoke
 
 check: build vet race
 
@@ -104,19 +104,3 @@ server-smoke:
 # checktrace; artifacts land in loadgen-artifacts/.
 loadgen-smoke:
 	scripts/loadgen_smoke.sh loadgen-artifacts
-
-# Fast-tier gate: the reach cross-validation suite (bounds bracket the
-# exact engine on randomized traces, certificates imply exact answers)
-# under the race detector, then the tiering contract end-to-end — the
-# quick experiment suite must emit byte-identical output with the fast
-# tier on and off, at 1 and 8 workers.
-reach-check:
-	$(GO) test -race -timeout 20m ./internal/reach ./internal/analysis
-	$(GO) run ./cmd/experiments -quick -workers 1 -fast-tier=true  all > /tmp/opportunet_ft1.txt
-	$(GO) run ./cmd/experiments -quick -workers 1 -fast-tier=false all > /tmp/opportunet_fe1.txt
-	$(GO) run ./cmd/experiments -quick -workers 8 -fast-tier=true  all > /tmp/opportunet_ft8.txt
-	$(GO) run ./cmd/experiments -quick -workers 8 -fast-tier=false all > /tmp/opportunet_fe8.txt
-	cmp /tmp/opportunet_ft1.txt /tmp/opportunet_fe1.txt
-	cmp /tmp/opportunet_ft1.txt /tmp/opportunet_ft8.txt
-	cmp /tmp/opportunet_ft1.txt /tmp/opportunet_fe8.txt
-	@echo "fast tier byte-identical to exact at workers 1, 8"

@@ -122,14 +122,14 @@ func BenchmarkDelayCDFAggregation(b *testing.B) {
 // package default of 256 slots cannot certify this window/grid
 // combination — an engine left at the default measures a provably
 // vacuous build.
-func benchReachOptions(tr *trace.Trace, grid []float64, maxHops int) reach.Options {
-	return reach.Options{MaxHops: maxHops, MaxSlots: server.ReachSlotBudget(tr.Duration(), grid[0])}
+func benchReachOptions(tr *trace.Trace, grid []float64) reach.Options {
+	return reach.Options{MaxSlots: server.ReachSlotBudget(tr.Duration(), grid[0])}
 }
 
-// BenchmarkReachBounds measures the fast tier's primitive: one envelope
-// build (slot sweep with grid-bucketed accumulation, at the certifying
-// slot resolution) plus the per-hop-bound worst-ratio brackets on the
-// scaled conference trace.
+// BenchmarkReachBounds measures what a daemon dataset load pays for its
+// degraded-answer tier: one envelope build at the certifying slot
+// resolution plus the certified diameter bounds on the scaled
+// conference trace.
 func BenchmarkReachBounds(b *testing.B) {
 	tr := benchTrace(b)
 	v := timeline.New(tr).All()
@@ -137,71 +137,37 @@ func BenchmarkReachBounds(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := reach.New(v, benchReachOptions(tr, grid, 0))
+		eng, err := reach.New(v, benchReachOptions(tr, grid))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.WorstRatioBounds(grid); err != nil {
+		if _, _, err := eng.DiameterBounds(0.01, grid); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// benchDiameterWorkload is the eps-sweep/diameter workload of the
-// tiered-vs-exact comparison: an ε sweep plus the headline diameter,
-// exact-tier caches dropped per iteration so each run redoes the
-// decision work. The tiered case measures the *serving* shape — a
-// bounds engine sized like the serving layer's (slot ≤ smallest
-// budget, see benchReachOptions) with its envelopes prewarmed outside
-// the timer, exactly like a dataset load — so each iteration pays for
-// certificate reads plus residual exact integration on the hop bounds
-// the certificates leave open. The one-time envelope build itself is
-// measured separately by BenchmarkReachBounds. (A study's lazily built
-// engine stays at the package-default 256 slots, which on this
-// multi-day window can never certify: without the explicit sizing the
-// tiered benchmark would measure the overhead of a tier that
-// structurally cannot fire, which is exactly the BENCH_5 anomaly.)
-// The ratio of the two benchmarks below is the warm tiered speedup
-// recorded in the bench report (tiered_vs_exact), and the fast-tier
-// equivalence tests pin that both produce identical answers.
-func benchDiameterWorkload(b *testing.B, fast bool) {
-	b.Helper()
+// BenchmarkDiameterSweep measures the exact ε-sweep plus the headline
+// diameter on a warm study, caches dropped per iteration so each run
+// redoes the per-hop integrations the decisions read.
+func BenchmarkDiameterSweep(b *testing.B) {
 	tr := benchTrace(b)
 	st, err := analysis.NewStudy(tr, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	st.SetFastTier(fast)
 	grid := stats.LogSpace(120, tr.Duration(), 40)
 	epsSweep := []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5}
-	var eng *reach.Engine
-	if fast {
-		eng, err = reach.New(st.View, benchReachOptions(tr, grid, st.Result.Hops))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.WorstRatioBounds(grid); err != nil {
-			b.Fatal(err)
-		}
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.ClearCaches()
-		if fast {
-			// ClearCaches drops the injected engine; re-inject the warm
-			// one (its envelopes for this grid are already built).
-			st.SetReachEngine(eng)
-		}
 		_ = st.DiameterVsEpsilon(epsSweep, grid)
 		if k, _ := st.Diameter(0.01, grid); k < 1 {
 			b.Fatal("impossible")
 		}
 	}
 }
-
-func BenchmarkDiameterTiered(b *testing.B) { benchDiameterWorkload(b, true) }
-func BenchmarkDiameterExact(b *testing.B)  { benchDiameterWorkload(b, false) }
 
 // BenchmarkAblationPruning/pareto vs /naive: insert an identical
 // candidate stream into the engine's pruned frontier and into a naive

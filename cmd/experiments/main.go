@@ -46,7 +46,6 @@ import (
 	"strings"
 	"time"
 
-	"opportunet/internal/analysis"
 	"opportunet/internal/checkpoint"
 	"opportunet/internal/cli"
 	"opportunet/internal/experiments"
@@ -59,7 +58,6 @@ func main() {
 	quick := flag.Bool("quick", false, "scale data sets down for a fast run")
 	eps := flag.Float64("eps", 0.01, "diameter confidence parameter (paper: 0.01)")
 	workers := flag.Int("workers", 0, "worker goroutines for the engine, aggregation and experiment fan-out (0 = all cores); output is identical at every count")
-	fastTier := flag.Bool("fast-tier", true, "answer diameter questions bounds-first via the reach tier, falling back to exact curves on a gap; output is identical either way")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this long (0 = no limit); completed experiments still flush")
 	ckptDir := flag.String("checkpoint", "", "store completed experiments in this directory and replay them on rerun")
 	list := flag.Bool("list", false, "list available experiments and exit")
@@ -126,8 +124,6 @@ func main() {
 		progress = obs.StartProgress(os.Stderr, 0,
 			reg.Gauge("par_workers_busy", ""), par.Resolve(*workers))
 	}
-
-	analysis.SetFastTierDefault(*fastTier)
 
 	ctx, stop := cli.Context(*timeout)
 	defer stop()

@@ -43,7 +43,6 @@ import (
 	"strings"
 	"time"
 
-	"opportunet/internal/analysis"
 	"opportunet/internal/cli"
 	"opportunet/internal/core"
 	"opportunet/internal/obs"
@@ -75,7 +74,6 @@ func main() {
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "longest one query may wait for admission before 429")
 	maxDeadline := flag.Duration("max-deadline", 30*time.Second, "cap (and default) for per-request deadlines")
 	drain := flag.Duration("drain", 10*time.Second, "SIGTERM: wait this long for in-flight queries before cancelling them")
-	fastTier := flag.Bool("fast-tier", true, "answer diameter questions bounds-first via the reach tier inside exact queries too")
 	obsAddr := flag.String("obsaddr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (:0 picks a free port)")
 	obsLog := flag.String("obslog", "", "append one JSON line per request span to this file")
 	report := flag.String("report", "", "write a RUN_REPORT.json summary to this file at exit")
@@ -120,8 +118,6 @@ func main() {
 	}
 	stages := obs.NewStages()
 	stages.Enter("load")
-
-	analysis.SetFastTierDefault(*fastTier)
 
 	// The daemon context: SIGINT/SIGTERM flip it, which is the drain
 	// trigger, not an abort — in-flight queries get the -drain budget.

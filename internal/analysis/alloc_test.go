@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"opportunet/internal/core"
+	"opportunet/internal/randtemp"
+	"opportunet/internal/rng"
 	"opportunet/internal/stats"
 	"opportunet/internal/tracegen"
 )
@@ -28,7 +30,6 @@ func TestDelayCDFAggregationAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetFastTier(false) // pin the exact pipeline, not tier state churn
 	grid := stats.LogSpace(120, 86400, 12)
 	bounds := []int{1, 2, 3, Unbounded}
 	allocs := testing.AllocsPerRun(20, func() {
@@ -44,5 +45,49 @@ func TestDelayCDFAggregationAllocs(t *testing.T) {
 	const budget = 96
 	if allocs > budget {
 		t.Fatalf("DelayCDFs allocated %.0f times per run, budget %d", allocs, budget)
+	}
+}
+
+// TestDelayCDFsAllocsPinned pins the aggregation's allocation behavior:
+// with warm frontiers, one DelayCDFs call over many hop bounds shares a
+// single pooled integration buffer across bounds, so the per-call
+// allocations stay bounded by the small per-bound outputs (sum + probs
+// + cache bookkeeping), not by pairs × grid buffers.
+func TestDelayCDFsAllocsPinned(t *testing.T) {
+	tr, err := randtemp.DiscreteModel{N: 12, Lambda: 0.3, Slots: 24, SlotSeconds: 300}.Generate(rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStudy(tr, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := stats.LogSpace(60, tr.Duration(), 40)
+	bounds := []int{1, 2, 3, 4, 5, 6, Unbounded}
+	// Warm the frontier memo and the buffer pool; curves are dropped
+	// each run so every bound re-integrates.
+	s.DelayCDFs(bounds, grid)
+	clearCurves := func() {
+		s.state.mu.Lock()
+		s.state.curves = make(map[curveKey][]float64)
+		s.state.mu.Unlock()
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		clearCurves()
+		s.DelayCDFs(bounds, grid)
+	})
+	// ~6 allocations per hop bound (sum, probs, key bookkeeping, memo
+	// map churn) plus the output slice; the flat pairs × grid buffer
+	// must not be re-allocated per bound.
+	if max := float64(8*len(bounds) + 8); allocs > max {
+		t.Fatalf("DelayCDFs allocations regressed: %v allocs/op, want <= %v", allocs, max)
+	}
+	// Fully-warm calls (curves cached) must stay near-free.
+	s.DelayCDFs(bounds, grid)
+	warm := testing.AllocsPerRun(20, func() {
+		s.DelayCDFs(bounds, grid)
+	})
+	if max := float64(3*len(bounds) + 4); warm > max {
+		t.Fatalf("warm DelayCDFs allocations regressed: %v allocs/op, want <= %v", warm, max)
 	}
 }

@@ -60,21 +60,20 @@ type Study struct {
 	// as relays inside paths.
 	Pairs [][2]trace.NodeID
 
-	workers  int
-	ctx      context.Context
-	directed bool
+	workers int
+	ctx     context.Context
 
-	// state holds everything shared between a study and its WithContext
-	// handles: the caches and the reach tier. A Study value is therefore
-	// safe to shallow-copy — handles alias the same warm state.
+	// state holds the caches shared between a study and its WithContext
+	// handles. A Study value is therefore safe to shallow-copy — handles
+	// alias the same warm state.
 	state *studyState
 }
 
 // studyState is the cache layer shared by every handle over one study:
-// the frontier memo, the success-curve cache, and the reach bounds
-// tier. Cancelled aggregations never write to it, so handles with
-// short-lived request contexts can hammer a shared warm study without
-// poisoning the caches for each other.
+// the frontier memo and the success-curve cache. Cancelled aggregations
+// never write to it, so handles with short-lived request contexts can
+// hammer a shared warm study without poisoning the caches for each
+// other.
 type studyState struct {
 	mu        sync.Mutex
 	frontiers map[int][]core.Frontier // hop bound -> frontier per pair
@@ -86,16 +85,6 @@ type studyState struct {
 	// depends only on the immutable Result — and deliberately survives
 	// ClearCaches.
 	pairOff []int
-
-	// baseCtx is the construction context: the reach engine is built
-	// under it (tier state outlives any single request's deadline).
-	baseCtx context.Context
-
-	// fastTier enables the reach bounds tier (see tier.go); reachEng is
-	// its lazily built engine, reachFailed latches a construction error.
-	fastTier    bool
-	reachEng    *reach.Engine
-	reachFailed bool
 }
 
 // NewStudy computes optimal paths for all internal sources of the trace
@@ -129,12 +118,11 @@ func NewStudyView(v *timeline.View, opt core.Options) (*Study, error) {
 		return nil, err
 	}
 	s := &Study{
-		View:     v,
-		Result:   res,
-		workers:  opt.Workers,
-		ctx:      opt.Ctx,
-		directed: opt.Directed,
-		state:    newStudyState(opt.Ctx),
+		View:    v,
+		Result:  res,
+		workers: opt.Workers,
+		ctx:     opt.Ctx,
+		state:   newStudyState(),
 	}
 	for _, a := range internal {
 		for _, b := range internal {
@@ -152,9 +140,9 @@ func NewStudyView(v *timeline.View, opt core.Options) (*Study, error) {
 // computation NewStudyView would redo from scratch. The result must
 // cover every internal device of the view as a source (Extend with
 // Options.Sources set to v.InternalNodes() does); opt carries the
-// worker count, context, and directedness the aggregations use, and
-// must match the options the result was computed under for the
-// aggregates to mean anything.
+// worker count and context the aggregations use, and must match the
+// options the result was computed under for the aggregates to mean
+// anything.
 func NewStudyResult(v *timeline.View, res *core.Result, opt core.Options) (*Study, error) {
 	internal := v.InternalNodes()
 	if len(internal) < 2 {
@@ -173,12 +161,11 @@ func NewStudyResult(v *timeline.View, res *core.Result, opt core.Options) (*Stud
 		}
 	}
 	s := &Study{
-		View:     v,
-		Result:   res,
-		workers:  opt.Workers,
-		ctx:      opt.Ctx,
-		directed: opt.Directed,
-		state:    newStudyState(opt.Ctx),
+		View:    v,
+		Result:  res,
+		workers: opt.Workers,
+		ctx:     opt.Ctx,
+		state:   newStudyState(),
 	}
 	for _, a := range internal {
 		for _, b := range internal {
@@ -190,24 +177,20 @@ func NewStudyResult(v *timeline.View, res *core.Result, opt core.Options) (*Stud
 	return s, nil
 }
 
-func newStudyState(baseCtx context.Context) *studyState {
+func newStudyState() *studyState {
 	return &studyState{
 		frontiers: make(map[int][]core.Frontier),
 		curves:    make(map[curveKey][]float64),
-		baseCtx:   baseCtx,
-		fastTier:  fastTierOn.Load(),
 	}
 }
 
 // WithContext returns a handle over the same study whose aggregation
 // loops observe ctx instead of the construction context. The handle
-// aliases the underlying result, frontier memo, curve cache, and reach
-// tier, so a warm study can serve many concurrent requests each with
-// its own deadline: a call cancelled through any handle returns
-// incomplete values uncached (check Err), leaving the shared caches
-// exactly as a never-started call would. The reach tier keeps the
-// construction context — certificates are study-lifetime state, not
-// per-request work.
+// aliases the underlying result, frontier memo and curve cache, so a
+// warm study can serve many concurrent requests each with its own
+// deadline: a call cancelled through any handle returns incomplete
+// values uncached (check Err), leaving the shared caches exactly as a
+// never-started call would.
 func (s *Study) WithContext(ctx context.Context) *Study {
 	clone := *s
 	clone.ctx = ctx
@@ -300,8 +283,6 @@ func (s *Study) ClearCaches() {
 	defer st.mu.Unlock()
 	st.frontiers = make(map[int][]core.Frontier)
 	st.curves = make(map[curveKey][]float64)
-	st.reachEng = nil
-	st.reachFailed = false
 }
 
 // curveKey identifies one cached success curve: the hop bound, the
@@ -487,25 +468,11 @@ func (s *Study) DelayCDFsWindow(hopBounds []int, grid []float64, a, b float64) [
 // grid, the success probability within k hops is at least (1−ε) times
 // the unbounded success probability. The second return value reports the
 // per-budget worst ratio of the returned k (diagnostics).
-//
-// With the fast tier on, the reach engine's certified lower bound lets
-// the scan skip hop bounds proven to fail — those bounds would fail the
-// exact comparison too (the criterion is monotone in k: larger bounds
-// only add successful starting times), so the first passing k, its
-// exact curve, and the reported worst ratio are byte-identical to the
-// exact-only scan.
 func (s *Study) Diameter(eps float64, grid []float64) (int, float64) {
 	a, b := s.View.Start(), s.View.End()
-	startK := 1
-	if eng := s.reachEngine(); eng != nil && eng.Certifiable(grid) {
-		if lo, _, err := eng.DiameterBounds(eps, grid); err == nil && lo > 1 {
-			anMetrics.tierSkips.Add(int64(lo - 1))
-			startK = lo
-		}
-	}
 	ref := s.successProbs(Unbounded, grid, a, b)
 	maxK := s.Result.Hops
-	for k := startK; k <= maxK && s.Err() == nil; k++ {
+	for k := 1; k <= maxK && s.Err() == nil; k++ {
 		cur := s.successProbs(k, grid, a, b)
 		worst := 1.0
 		ok := true
@@ -534,33 +501,15 @@ func (s *Study) Diameter(eps float64, grid []float64) (int, float64) {
 // flooding's success can only require more hops. This sweep quantifies
 // how much of the headline number rides on the strictness of the 99%
 // criterion.
-//
-// With the fast tier on, one envelope build brackets every hop bound's
-// worst ratio at once: an ε whose threshold clears the bracket's low
-// side is resolved without touching that bound's exact curve, one below
-// the high side is certified unresolved at this bound, and only the ε
-// values landing inside a bracket trigger the exact integration for
-// that bound. The brackets contain the exact ratio (padded for float
-// headroom), so the resolved hop counts are byte-identical either way.
 func (s *Study) DiameterVsEpsilon(eps []float64, grid []float64) []int {
 	a, b := s.View.Start(), s.View.End()
 	out := make([]int, len(eps))
 	for i := range out {
 		out[i] = -1
 	}
-	var brackets []reach.RatioBound
-	if eng := s.reachEngine(); eng != nil && eng.Certifiable(grid) {
-		if rb, err := eng.WorstRatioBounds(grid); err == nil {
-			brackets = rb
-		}
-	}
-	// The exact per-k worst ratio, integrated lazily: only the hop
-	// bounds some ε could not be certified on pay for their curves.
-	var ref []float64
-	exactWorst := func(k int) float64 {
-		if ref == nil {
-			ref = s.successProbs(Unbounded, grid, a, b)
-		}
+	ref := s.successProbs(Unbounded, grid, a, b)
+	remaining := len(eps)
+	for k := 1; k <= s.Result.Hops && remaining > 0 && s.Err() == nil; k++ {
 		cur := s.successProbs(k, grid, a, b)
 		worst := 1.0
 		for gi := range grid {
@@ -571,36 +520,8 @@ func (s *Study) DiameterVsEpsilon(eps []float64, grid []float64) []int {
 				worst = r
 			}
 		}
-		return worst
-	}
-	remaining := len(eps)
-	for k := 1; k <= s.Result.Hops && remaining > 0 && s.Err() == nil; k++ {
-		exact := math.NaN()
 		for i, e := range eps {
-			if out[i] >= 0 {
-				continue
-			}
-			thr := 1 - e
-			if k-1 < len(brackets) {
-				rb := brackets[k-1]
-				if rb.Lo+reach.SuccessCurveTol >= thr {
-					anMetrics.tierSkips.Inc()
-					out[i] = k
-					remaining--
-					continue
-				}
-				if rb.Hi+reach.SuccessCurveTol < thr {
-					anMetrics.tierSkips.Inc()
-					continue
-				}
-			}
-			if math.IsNaN(exact) {
-				if brackets != nil {
-					anMetrics.tierFallbacks.Inc()
-				}
-				exact = exactWorst(k)
-			}
-			if exact+reach.SuccessCurveTol >= thr {
+			if out[i] < 0 && worst+reach.SuccessCurveTol >= 1-e {
 				out[i] = k
 				remaining--
 			}

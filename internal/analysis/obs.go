@@ -16,12 +16,6 @@ var anMetrics struct {
 	memoHits     *obs.Counter // analysis_frontier_memo_hits_total
 	memoMisses   *obs.Counter // analysis_frontier_memo_misses_total
 	curveBufWarm *obs.Counter // analysis_curvebuf_pool_reuse_total
-
-	// Fast-tier effectiveness: how many exact per-hop integrations the
-	// reach certificates avoided, and how many decisions fell through
-	// the bounds to the exact engine anyway.
-	tierSkips     *obs.Counter // analysis_fast_tier_skips_total
-	tierFallbacks *obs.Counter // analysis_fast_tier_exact_fallbacks_total
 }
 
 func init() {
@@ -36,9 +30,5 @@ func init() {
 			"per-hop-bound frontier sets built from the result archives")
 		anMetrics.curveBufWarm = r.Counter("analysis_curvebuf_pool_reuse_total",
 			"integration buffers reused warm from the pool")
-		anMetrics.tierSkips = r.Counter("analysis_fast_tier_skips_total",
-			"per-hop decisions answered by reach certificates alone")
-		anMetrics.tierFallbacks = r.Counter("analysis_fast_tier_exact_fallbacks_total",
-			"per-hop decisions that needed exact curves despite the tier")
 	})
 }

@@ -41,7 +41,7 @@ func padHi(v float64) float64 { return v + certSlack }
 
 // DeliveryBound returns lower/upper envelopes of the hop class's
 // success curve P(success within d) evaluated at each grid budget —
-// the fast tier's bracket of the exact tier's DelayCDFs columns
+// the certified bracket of the exact tier's DelayCDFs columns
 // (hopBound follows the core convention: 0 means unbounded relaying).
 // The envelopes come from the current build; call Refine to tighten
 // them. The bounds are padded by the engine's float-summation slack, so
@@ -209,66 +209,4 @@ func (bd *build) diameterBounds(eps float64, grid []float64) (lo, hi int) {
 		lo = hi
 	}
 	return lo, hi
-}
-
-// RatioBound brackets, for one hop bound, the worst per-budget ratio
-// min_i cur_k[i]/ref[i] between the hop-bounded and unbounded success
-// curves — the quantity DiameterVsEpsilon thresholds against 1−ε. The
-// exact ratio lies in [Lo, Hi]; the interval is padded by the engine's
-// float-summation slack so trusting it preserves exactness.
-type RatioBound struct {
-	Lo, Hi float64
-}
-
-// WorstRatioBounds returns per-hop-bound ratio brackets for hop bounds
-// 1..MaxHops (index k−1 holds bound k), letting a caller resolve a
-// whole ε-sweep from one build: every ε with 1−ε ≤ Lo_k + tol certifies
-// k as passing, every ε with 1−ε > Hi_k + tol certifies it as failing,
-// and only the ε values landing inside an interval need the exact
-// engine. Unlike DiameterBounds this does not refine internally — sweep
-// callers decide when another doubling is worth it.
-func (e *Engine) WorstRatioBounds(grid []float64) ([]RatioBound, error) {
-	if len(grid) == 0 {
-		return nil, fmt.Errorf("reach: empty delay grid")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	bd, err := e.ensure(grid)
-	if err != nil {
-		return nil, err
-	}
-	norm := float64(bd.pairs) * bd.window
-	refLo := make([]float64, len(grid))
-	refHi := make([]float64, len(grid))
-	for i := range grid {
-		refLo[i] = padLo(bd.lo[bd.maxK][i] / norm)
-		refHi[i] = padHi(bd.hi[bd.maxK][i] / norm)
-	}
-	out := make([]RatioBound, bd.maxK)
-	for k := 1; k <= bd.maxK; k++ {
-		// The exact tier initializes its worst ratio at 1 and lowers it
-		// only at budgets where the reference is positive. Lo may also
-		// fold in budgets where the exact reference could still be zero
-		// — those ratios are nonnegative, so the min stays a sound lower
-		// bound; Hi restricts to budgets certainly positive, a subset of
-		// the exact min's domain, so it stays a sound upper bound.
-		lw, uw := 1.0, 1.0
-		for i := range grid {
-			if refHi[i] > 0 {
-				if r := padLo(bd.lo[k-1][i]/norm) / refHi[i]; r < lw {
-					lw = r
-				}
-			}
-			if refLo[i] > 0 {
-				if r := padHi(bd.hi[k-1][i]/norm) / refLo[i]; r < uw {
-					uw = r
-				}
-			}
-		}
-		if uw > 1 {
-			uw = 1
-		}
-		out[k-1] = RatioBound{Lo: lw, Hi: uw}
-	}
-	return out, nil
 }

@@ -1,4 +1,4 @@
-// Package reach is the approximate fast tier over the exact space-time
+// Package reach is the certified bounds tier over the exact space-time
 // path calculus: a temporal reachability engine in the spirit of
 // Whitbeck et al.'s temporal reachability graphs, computing cheap,
 // *certified* two-sided bounds on the paper's aggregate quantities
@@ -24,11 +24,12 @@
 // unbounded curve, and definitely fails when even its upper envelope
 // stays below (1−ε) times the unbounded lower envelope. Both
 // certificates imply the exact decision (they fold in the exact
-// aggregation's comparison tolerance), so a caller that trusts a
-// certificate and otherwise falls back to the exhaustive engine produces
-// byte-identical results — the tiering contract internal/analysis builds
-// on. When the slot resolution is too coarse to decide, Refine doubles
-// it up to a cap.
+// aggregation's comparison tolerance), so a bracket [lo, hi] always
+// contains the exhaustive engine's answer — the guarantee behind the
+// daemon's degraded bounds-only answers and cmd/diameter -approx. The
+// exact analysis shares only SuccessCurveTol with this package. When
+// the slot resolution is too coarse to decide, Refine doubles it up to
+// a cap.
 //
 // Construction is sharded over sources with internal/par (results are
 // byte-identical at every worker count), scratch is pooled per the
@@ -58,7 +59,7 @@ const SuccessCurveTol = 1e-12
 
 // Default engine parameters. 64 slots resolve the quick datasets'
 // diameters in one build most of the time; refinement quadruples the
-// resolution once before the tier gives up and the caller goes exact.
+// resolution once before the bounds settle for a gap.
 const (
 	defaultSlots   = 64
 	defaultMaxHops = 16
@@ -116,8 +117,8 @@ type Engine struct {
 // HasBuild reports whether the engine already holds a completed build
 // for this exact delay grid — i.e. whether envelope queries on it are
 // warm reads rather than a fresh slot sweep. Serving layers use it to
-// decide if a degraded bounds answer is available "for free" after a
-// request's deadline has already expired.
+// decide whether a degraded bounds answer is available without paying
+// for a build.
 func (e *Engine) HasBuild(grid []float64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -222,8 +223,8 @@ func (e *Engine) CanReach(src, dst trace.NodeID, t, delay float64) bool {
 // resolution must be no wider than the smallest budget, or the lower
 // envelopes are pinned near zero at that budget (every slot containing
 // any jump contributes nothing below one slot width) and the
-// certificates are vacuous. Tiered callers use this to skip the build
-// entirely on window/grid combinations it cannot help with — the
+// certificates are vacuous. DiameterBounds uses it to stop refining on
+// window/grid combinations no allowed resolution can help with — the
 // decision depends only on the trace window, the grid and the engine
 // options, so it is identical at every worker count.
 func (e *Engine) Certifiable(grid []float64) bool {
@@ -285,8 +286,7 @@ func (e *Engine) ensure(grid []float64) (*build, error) {
 // Refine doubles the engine's slot resolution (×2 per call, clamping
 // the final step to the MaxSlots cap so the cap itself is reachable),
 // rebuilding the envelopes on the current grid, and reports whether a
-// finer build was produced. Tiered callers refine once or twice before
-// falling back to the exact engine. Before any bounds query there is no
+// finer build was produced. Before any bounds query there is no
 // build (and no grid) to refine.
 func (e *Engine) Refine() bool {
 	e.mu.Lock()

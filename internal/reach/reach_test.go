@@ -204,49 +204,11 @@ func TestDiameterBoundsBracketExact(t *testing.T) {
 	}
 }
 
-func TestWorstRatioBoundsBracketExact(t *testing.T) {
-	const maxK = 6
-	for ti, tr := range testTraces(t) {
-		v := timeline.New(tr).All()
-		res, err := core.ComputeView(v, core.Options{})
-		if err != nil {
-			t.Fatalf("trace %d: core: %v", ti, err)
-		}
-		grid := stats.LogSpace(60, v.Duration(), 20)
-		curves := exactCurves(t, v, res, maxK, grid)
-		ref := curves[maxK]
-		eng, err := reach.New(v, reach.Options{MaxHops: maxK, Slots: 32})
-		if err != nil {
-			t.Fatalf("trace %d: reach: %v", ti, err)
-		}
-		bounds, err := eng.WorstRatioBounds(grid)
-		if err != nil {
-			t.Fatalf("trace %d: WorstRatioBounds: %v", ti, err)
-		}
-		for k := 1; k <= maxK; k++ {
-			worst := 1.0
-			for i := range ref {
-				if ref[i] > 0 {
-					if r := curves[k-1][i] / ref[i]; r < worst {
-						worst = r
-					}
-				}
-			}
-			rb := bounds[k-1]
-			if rb.Lo > worst+1e-9 || worst > rb.Hi+1e-9 {
-				t.Fatalf("trace %d hop %d: ratio bracket [%v, %v] misses exact %v",
-					ti, k, rb.Lo, rb.Hi, worst)
-			}
-		}
-	}
-}
-
 // TestCertificatesNotVacuous pins the tier's actual certification power:
 // soundness (lo ≤ exact ≤ hi) alone would hold for the trivial envelopes
 // [0, 1], so this test requires, on a denser trace at a certifying slot
-// resolution, that (a) the unbounded envelope gap is genuinely small,
-// (b) the ratio brackets are narrow and bounded away from zero, and
-// (c) DiameterBounds closes (lo == hi) on a whole ε-sweep, each time
+// resolution, that (a) the unbounded envelope gap is genuinely small
+// and (b) DiameterBounds closes (lo == hi) on a whole ε-sweep, each time
 // agreeing with the exhaustive engine. If an optimization ever silently
 // loosens the envelopes, this fails even though the sandwich tests pass.
 func TestCertificatesNotVacuous(t *testing.T) {
@@ -267,7 +229,7 @@ func TestCertificatesNotVacuous(t *testing.T) {
 	// inside the deep-hop saturation zone, where the ratio's lower bound
 	// is capped by the unbounded envelope gap itself and a certificate is
 	// structurally unavailable at any slot resolution — those ε are what
-	// the exact-tier fallback is for.
+	// the exact engine is for.
 	epsSweep := []float64{0.02, 0.05, 0.1, 0.15, 0.2, 0.35, 0.5}
 	const mustCertifyFrom = 0.1
 	for _, workers := range testWorkers {
@@ -288,17 +250,6 @@ func TestCertificatesNotVacuous(t *testing.T) {
 		}
 		if gap /= float64(len(grid)); gap > 0.01 {
 			t.Fatalf("workers %d: mean unbounded envelope gap %v, want ≤ 0.01", workers, gap)
-		}
-		bounds, err := eng.WorstRatioBounds(grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 2; k <= maxK; k++ {
-			rb := bounds[k-1]
-			if rb.Lo <= 0.1 || rb.Hi-rb.Lo > 0.1 {
-				t.Fatalf("workers %d hop %d: ratio bracket [%v, %v] too loose to certify anything",
-					workers, k, rb.Lo, rb.Hi)
-			}
 		}
 		for _, eps := range epsSweep {
 			lo, hi, err := eng.DiameterBounds(eps, grid)

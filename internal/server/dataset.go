@@ -24,7 +24,7 @@ const maxReachSlots = 8192
 // Dataset is one warm, query-ready dataset in the daemon's registry:
 // the timeline index, the exhaustive path computation wrapped in an
 // analysis.Study (whose frontier memo and curve cache make repeated
-// queries cheap), and the reach bounds tier that degraded answers come
+// queries cheap), and the reach bounds engine that degraded answers come
 // from. All fields are read-only after LoadDataset; the Study and the
 // reach engine serialize their own internal state, so a Dataset serves
 // concurrent requests without further locking.
@@ -32,9 +32,10 @@ type Dataset struct {
 	Name  string
 	View  *timeline.View
 	Study *analysis.Study
-	// Reach is the dataset's own bounds engine — distinct from the
-	// Study's internal tier so degraded serving can prewarm and query
-	// it directly. nil when the tier does not apply (δ > 0).
+	// Reach is the dataset's bounds engine. Only degraded answers read
+	// it: exact queries never touch it, so its one build stays the
+	// default grid's prewarmed envelopes. nil when the tier does not
+	// apply (δ > 0).
 	Reach *reach.Engine
 
 	// DefaultPoints and DefaultEps parameterize the grid prewarmed at
@@ -127,10 +128,6 @@ func LoadDataset(tr *trace.Trace, lo LoadOptions) (*Dataset, error) {
 		})
 		if err == nil {
 			ds.Reach = eng
-			// One engine serves both tiers: the study's internal
-			// bounds-first skip and the server's degraded answers share
-			// the prewarmed envelopes.
-			st.SetReachEngine(eng)
 		}
 	}
 	if !lo.SkipPrewarm && ds.Reach != nil {

@@ -432,13 +432,16 @@ func (s *Server) handleDiameter(ctx context.Context, ds *Dataset, q *query) (any
 }
 
 // diameterBounds assembles a degraded bounds-only diameter answer from
-// the reach tier, or reports that none is available (no engine, or a
-// cold build the expired deadline can no longer pay for). An
+// the reach tier, or reports that none is available: no engine, or no
+// warm envelope build for the grid. Like cdfBounds it never pays for a
+// build — a fresh grid's envelopes cost several times its exact
+// integration, and building them would evict the prewarmed default
+// grid's envelopes that deadline-busting queries rely on. An
 // uncertified upper side falls back to the archive's fixpoint hop
 // count — paths longer than the longest optimal path do not exist, so
 // it is a sound (if loose) certificate.
 func (s *Server) diameterBounds(ctx context.Context, ds *Dataset, tc *obs.Trace, eps float64, grid []float64, reason string) (*diameterResponse, bool) {
-	if ds.Reach == nil {
+	if ds.Reach == nil || !ds.Reach.HasBuild(grid) {
 		return nil, false
 	}
 	lo, hi, err := ds.Reach.DiameterBoundsBudget(ctx, eps, grid)

@@ -207,12 +207,47 @@ func TestDiameterDegradedContainment(t *testing.T) {
 	}
 }
 
+// TestFreshGridDiameterBuildsNoEnvelopes: the reach engine holds one
+// build, the default grid's prewarmed envelopes. An exact diameter on
+// another grid must never touch it, and a degraded answer on a grid
+// without a warm build must not pay for one — either would evict the
+// envelopes deadline-busting default-grid queries degrade to.
+func TestFreshGridDiameterBuildsNoEnvelopes(t *testing.T) {
+	ds := testDataset(t, LoadOptions{})
+	s, ts := newTestServer(t, Config{}, ds)
+	def := ds.Grid(ds.DefaultPoints)
+	if !ds.Reach.HasBuild(def) {
+		t.Fatal("prewarm left no build for the default grid")
+	}
+	fresh := ds.DefaultPoints + 7
+
+	var dr diameterResponse
+	getJSON(t, fmt.Sprintf("%s/v1/diameter?points=%d", ts.URL, fresh), http.StatusOK, &dr)
+	if dr.Degraded != "" || dr.Points != fresh {
+		t.Fatalf("fresh-grid diameter %+v: want an exact answer on %d points", dr, fresh)
+	}
+	if _, ok := s.diameterBounds(context.Background(), ds, nil, ds.DefaultEps, ds.Grid(fresh), "shed"); ok {
+		t.Fatal("degraded answer on a grid without a warm build")
+	}
+	if ds.Reach.HasBuild(ds.Grid(fresh)) || !ds.Reach.HasBuild(def) {
+		t.Fatal("a fresh-grid diameter rebuilt the reach envelopes")
+	}
+
+	q := &query{endpoint: "diameter", eps: ds.DefaultEps, points: ds.DefaultPoints}
+	val, err := s.handleDiameter(expiredCtx(t), ds, q)
+	if err != nil {
+		t.Fatalf("default-grid diameter after a fresh one should still degrade, got err %v", err)
+	}
+	if dr := val.(*diameterResponse); dr.Degraded != "bounds-only" {
+		t.Fatalf("degraded response %+v: want bounds-only", dr)
+	}
+}
+
 func TestDiameter504WhenNoWarmBounds(t *testing.T) {
-	// With prewarm skipped and the internal tier off, an expired request
-	// has no warm certificates to fall back to: the honest answer is the
-	// deadline error (504), never a silently cold multi-second build.
+	// With prewarm skipped, an expired request has no warm certificates
+	// to fall back to: the honest answer is the deadline error (504),
+	// never a silently cold multi-second build.
 	ds := testDataset(t, LoadOptions{SkipPrewarm: true})
-	ds.Study.SetFastTier(false)
 	s, _ := newTestServer(t, Config{}, ds)
 
 	q := &query{endpoint: "diameter", eps: ds.DefaultEps, points: ds.DefaultPoints}

@@ -9,20 +9,12 @@
 # (validated by scripts/checkreport) is embedded as "run_report", so
 # each record also carries end-to-end stage times and metric totals.
 #
-# The reach-tier stage runs the Study ε-sweep/diameter workload twice —
-# DiameterTiered with a warm, serving-sized bounds engine (envelopes
-# prewarmed outside the timer, exactly a loaded dataset's state) and
-# DiameterExact with the tier off — and emits their same-run ratio as
-# "tiered_vs_exact": the warm tiered speedup of the *same workload*,
-# same-run so machine drift between records cannot fake or hide a
-# speedup. The ratio excludes the one-time envelope build, which is
-# recorded separately by ReachBounds (one certifying-resolution build
-# plus every hop bound's worst-ratio bracket — the cost a dataset load
-# pays once). Records before BENCH_6 computed "tiered_vs_exact" as
-# DelayCDFAggregation/ReachBounds — two unrelated workloads — while
-# the tiered benchmark ran an engine whose default slot cap could
-# never certify on this window/grid; those ratios are not comparable
-# to the ones recorded here.
+# The diameter stage records the exact ε-sweep/diameter workload
+# (DiameterSweep) next to ReachBounds: one certifying-resolution
+# envelope build plus the certified diameter bounds, the cost a daemon
+# dataset load pays once for its degraded answers. Records up to
+# BENCH_6 also carried "tiered_vs_exact", the speedup of a reach-backed
+# fast tier inside the exact analysis; that tier no longer exists.
 #
 # The ingest stage records the streaming pipeline: the marginal cost of
 # Extending a warm engine by the final 1% of a trace next to the cold
@@ -68,8 +60,8 @@ echo "== per-exhibit benchmarks (quick mode) =="
 go test -run '^$' -bench 'Benchmark(Table1|Figure[0-9]+|PhaseCheck|Forwarding)$' \
     -benchtime 1x . | tee "$TMP/exhibits.txt"
 
-echo "== reach tier: envelope bounds vs exact aggregation =="
-go test -run '^$' -bench 'Benchmark(ReachBounds|DiameterTiered|DiameterExact)$' \
+echo "== diameter: exact sweep, reach envelope bounds =="
+go test -run '^$' -bench 'Benchmark(ReachBounds|DiameterSweep)$' \
     -benchtime 3x . | tee "$TMP/reach.txt"
 
 echo "== timeline index: build, queries, shared-vs-cold engine setup =="
@@ -136,14 +128,6 @@ BEGIN {
 END { printf "\n  ]\n}\n" }
 ' "$TMP/scaling.txt" "$TMP/exhibits.txt" "$TMP/reach.txt" "$TMP/timeline.txt" "$TMP/ingest.txt" > "$TMP/bench.json"
 
-# Tiered-vs-exact speedup from this run's own numbers: the identical
-# ε-sweep/diameter workload with a warm bounds tier on vs off.
-RATIO=$(awk '
-$1 ~ /^BenchmarkDiameterExact(-[0-9]+)?$/ { for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") exact = $i }
-$1 ~ /^BenchmarkDiameterTiered(-[0-9]+)?$/ { for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") fast = $i }
-END { if (exact && fast) printf "%.2f", exact / fast; else printf "null" }
-' "$TMP/reach.txt")
-
 # Streaming-pipeline headline numbers from this run's own lines:
 # cold-recompute over incremental-extend (the <10%-of-cold gate wants
 # this above 10), the append→queryable epoch latency, and Appender
@@ -166,7 +150,6 @@ END { if (ns) printf "%.0f", 512 * 1e9 / ns; else printf "null" }
 # the closing brace, add the members, close again.
 {
     sed '$d' "$TMP/bench.json"
-    printf '  ,"tiered_vs_exact": %s\n' "$RATIO"
     printf '  ,"extend_vs_cold": %s\n' "$EXTEND_VS_COLD"
     printf '  ,"append_to_queryable_ns": %s\n' "$APPEND_TO_QUERYABLE"
     printf '  ,"append_contacts_per_sec": %s\n' "$APPEND_RATE"
