@@ -52,10 +52,16 @@ quick-equivalence:
 	cmp /tmp/opportunet_w1.txt /tmp/opportunet_w8.txt
 	@echo "quick suite byte-identical at workers 1, 2, 8"
 
-# Short fuzz run over the trace parser: never panics, rejects
-# non-finite times, and accepted traces round-trip.
+# Short fuzz run of every fuzz target, one line each (-fuzz takes a
+# single target): the trace parser never panics, rejects non-finite
+# times, and round-trips what it accepts; the Pareto set keeps its
+# staircase invariant; the HTTP query surface never answers 500 or
+# non-JSON, echoes trace IDs safely, and leaks no request.
+# FuzzAppendMerge runs in stream-check.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime 10s
+	$(GO) test ./internal/core -run FuzzParetoSet -fuzz FuzzParetoSet -fuzztime 10s
+	$(GO) test ./internal/server -run FuzzServeQuery -fuzz FuzzServeQuery -fuzztime 10s
 
 # Resumability gate: a second run against the same -checkpoint
 # directory must skip every experiment and still emit byte-identical

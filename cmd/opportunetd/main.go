@@ -75,7 +75,6 @@ func main() {
 	maxDeadline := flag.Duration("max-deadline", 30*time.Second, "cap (and default) for per-request deadlines")
 	drain := flag.Duration("drain", 10*time.Second, "SIGTERM: wait this long for in-flight queries before cancelling them")
 	obsAddr := flag.String("obsaddr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (:0 picks a free port)")
-	obsLog := flag.String("obslog", "", "append one JSON line per request span to this file")
 	report := flag.String("report", "", "write a RUN_REPORT.json summary to this file at exit")
 	accessLog := flag.String("access-log", "", "append one JSON line per request (trace id, disposition, stage attribution) to this file")
 	slowMS := flag.Int("slow-ms", 0, "dump the full event trace of requests slower than this many milliseconds into -access-log (0 = off)")
@@ -91,22 +90,10 @@ func main() {
 		cli.Usage("opportunetd", fmt.Sprintf("unexpected argument %q", flag.Arg(0)))
 	}
 
-	obsOn := *obsAddr != "" || *obsLog != "" || *report != ""
 	var reg *obs.Registry
-	if obsOn {
+	if *obsAddr != "" || *report != "" {
 		reg = obs.NewRegistry()
 		obs.Wire(reg)
-	}
-	var spans *obs.SpanLog
-	if *obsLog != "" {
-		f, err := os.Create(*obsLog)
-		if err != nil {
-			cli.Fail("opportunetd", err)
-		}
-		defer f.Close()
-		spans = obs.NewSpanLog(f)
-	} else if *report != "" {
-		spans = obs.NewSpanLog(nil)
 	}
 	if *obsAddr != "" {
 		osrv, err := obs.Serve(*obsAddr, reg)
@@ -147,7 +134,6 @@ func main() {
 		QueueWait:     *queueWait,
 		MaxDeadline:   *maxDeadline,
 		Logf:          vb.Logf,
-		Spans:         spans,
 		AccessLog:     accessW,
 		SlowThreshold: time.Duration(*slowMS) * time.Millisecond,
 		Recorder:      *recorder,
@@ -226,7 +212,7 @@ func main() {
 		if err != nil {
 			cli.Fail("opportunetd", err)
 		}
-		rep := obs.BuildReport("opportunetd", false, *workers, stages, spans, reg)
+		rep := obs.BuildReport("opportunetd", false, *workers, stages, nil, reg)
 		if err := rep.WriteJSON(f); err != nil {
 			cli.Fail("opportunetd", err)
 		}

@@ -2,10 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"opportunet/internal/checkpoint"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick_seed1.sha256 from the current quick-suite output")
 
 // runNamed runs the named experiments through the RunAll pipeline with
 // the given worker count and returns the combined output.
@@ -50,7 +58,9 @@ func TestRunExperimentsParallelByteIdentical(t *testing.T) {
 // at workers 1 and 8. Each run commits into its own checkpoint store, so
 // the per-experiment fingerprinted artifacts double as the comparison
 // vehicle: any pairwise divergence is reported by experiment name
-// instead of as one opaque diff of the combined stream.
+// instead of as one opaque diff of the combined stream. The serial run's
+// artifacts and stream are then checked against the committed digests
+// in testdata/quick_seed1.sha256, which pins the output across commits.
 //
 // This is slow (two full quick suites); it is the test twin of
 // `make quick-equivalence`.
@@ -93,6 +103,52 @@ func TestFullQuickSuiteByteIdentical(t *testing.T) {
 	}
 	if len(serial) == 0 {
 		t.Fatal("quick suite produced no output")
+	}
+	checkQuickDigests(t, c1, serialStore, serial)
+}
+
+// checkQuickDigests compares the sha256 of every experiment's artifact,
+// and of the combined stream ("all"), with the committed digests, so a
+// drift names the exhibit that moved. Run with -update to rewrite the
+// file after an intended change.
+func checkQuickDigests(t *testing.T, c *Config, store *checkpoint.Store, combined []byte) {
+	t.Helper()
+	var got strings.Builder
+	for _, e := range All() {
+		out, _ := store.Load(c.fingerprint(e.Name))
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(out), e.Name)
+	}
+	fmt.Fprintf(&got, "%x  all\n", sha256.Sum256(combined))
+
+	path := filepath.Join("testdata", "quick_seed1.sha256")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if sum, name, ok := strings.Cut(line, "  "); ok {
+			want[name] = sum
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(got.String()), "\n") {
+		sum, name, _ := strings.Cut(line, "  ")
+		if want[name] != sum {
+			t.Errorf("%s: quick-suite output drifted from %s (sha256 %s, want %q)", name, path, sum, want[name])
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("%s: listed in %s but not produced by the quick suite", name, path)
 	}
 }
 

@@ -3,11 +3,9 @@ package server
 // The structured access log: one JSON line per completed request,
 // carrying the trace ID and the stage attribution (queue wait, compute,
 // encode) that lets an operator explain any individual latency sample.
-// The line is built with the same append-style encoding as the hot
-// responses into a pooled buffer, so logging does not break the warm
-// path's allocation pin. Requests slower than the configured threshold
-// additionally dump their full event trace as an `"ev":"trace"` line —
-// a cold path that may allocate.
+// The line is an accessLine marshalled by encoding/json, like every
+// response. Requests slower than the configured threshold additionally
+// dump their full event trace as an `"ev":"trace"` line.
 //
 // Line schema (validated end-to-end by scripts/checktrace):
 //
@@ -20,12 +18,31 @@ package server
 import (
 	"encoding/json"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 
 	"opportunet/internal/obs"
 )
+
+// accessLine is one "ev":"req" line; the field order is the schema's.
+// TraceID is a string because encoding/json base64-encodes []byte.
+type accessLine struct {
+	Ev          string `json:"ev"`
+	TUnixNS     int64  `json:"t_unix_ns"`
+	TraceID     string `json:"trace_id"`
+	Endpoint    string `json:"endpoint"`
+	Dataset     string `json:"dataset"`
+	Status      int    `json:"status"`
+	Disposition string `json:"disposition"`
+	QueueNS     int64  `json:"queue_ns"`
+	ComputeNS   int64  `json:"compute_ns"`
+	EncodeNS    int64  `json:"encode_ns"`
+	TotalNS     int64  `json:"total_ns"`
+	DeadlineNS  int64  `json:"deadline_ns"`
+	UsedNS      int64  `json:"used_ns"`
+	Coalesce    string `json:"coalesce"`
+	Bytes       int64  `json:"bytes"`
+}
 
 type accessLogger struct {
 	mu   sync.Mutex
@@ -65,37 +82,25 @@ func (l *accessLogger) log(tc *obs.Trace) {
 	if l == nil || tc == nil {
 		return
 	}
-	eb := encBufPool.Get().(*encBuf)
-	b := eb.b[:0]
-	b = append(b, `{"ev":"req","t_unix_ns":`...)
-	b = strconv.AppendInt(b, tc.WallNS(), 10)
-	b = append(b, `,"trace_id":`...)
-	b = appendJSONStringBytes(b, tc.ID())
-	b = append(b, `,"endpoint":`...)
-	b = appendJSONString(b, tc.Endpoint)
-	b = append(b, `,"dataset":`...)
-	b = appendJSONString(b, tc.Dataset)
-	b = append(b, `,"status":`...)
-	b = strconv.AppendInt(b, int64(tc.Status), 10)
-	b = append(b, `,"disposition":`...)
-	b = appendJSONString(b, tc.Disposition.String())
-	b = append(b, `,"queue_ns":`...)
-	b = strconv.AppendInt(b, tc.QueueNS, 10)
-	b = append(b, `,"compute_ns":`...)
-	b = strconv.AppendInt(b, tc.ComputeNS, 10)
-	b = append(b, `,"encode_ns":`...)
-	b = strconv.AppendInt(b, tc.EncodeNS, 10)
-	b = append(b, `,"total_ns":`...)
-	b = strconv.AppendInt(b, tc.TotalNS, 10)
-	b = append(b, `,"deadline_ns":`...)
-	b = strconv.AppendInt(b, tc.DeadlineNS, 10)
-	b = append(b, `,"used_ns":`...)
-	b = strconv.AppendInt(b, tc.DeadlineUsedNS, 10)
-	b = append(b, `,"coalesce":`...)
-	b = appendJSONString(b, coalesceRole(tc))
-	b = append(b, `,"bytes":`...)
-	b = strconv.AppendInt(b, tc.Bytes, 10)
-	b = append(b, '}', '\n')
+	// An accessLine holds only strings and integers: Marshal cannot fail.
+	line, _ := json.Marshal(accessLine{
+		Ev:          "req",
+		TUnixNS:     tc.WallNS(),
+		TraceID:     string(tc.ID()),
+		Endpoint:    tc.Endpoint,
+		Dataset:     tc.Dataset,
+		Status:      tc.Status,
+		Disposition: tc.Disposition.String(),
+		QueueNS:     tc.QueueNS,
+		ComputeNS:   tc.ComputeNS,
+		EncodeNS:    tc.EncodeNS,
+		TotalNS:     tc.TotalNS,
+		DeadlineNS:  tc.DeadlineNS,
+		UsedNS:      tc.DeadlineUsedNS,
+		Coalesce:    coalesceRole(tc),
+		Bytes:       tc.Bytes,
+	})
+	line = append(line, '\n')
 
 	// The slow-trace dump rides in the same locked write so the two
 	// lines of one request never interleave with another request's.
@@ -111,11 +116,9 @@ func (l *accessLogger) log(tc *obs.Trace) {
 	}
 
 	l.mu.Lock()
-	_, _ = l.w.Write(b)
+	_, _ = l.w.Write(line)
 	if dump != nil {
 		_, _ = l.w.Write(dump)
 	}
 	l.mu.Unlock()
-	eb.b = b
-	encBufPool.Put(eb)
 }

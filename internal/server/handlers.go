@@ -35,9 +35,9 @@ type query struct {
 	hops     []int
 	hopsRaw  string
 	// tr is the request's trace (nil when tracing is disabled — every
-	// use is a nil-safe no-op). It rides on the pooled query so handlers
-	// and the coalescing layer can annotate events without a signature
-	// per event site.
+	// use is a nil-safe no-op). It rides on the query so handlers and
+	// the coalescing layer can annotate events without a signature per
+	// event site.
 	tr *obs.Trace
 }
 
@@ -56,18 +56,13 @@ func (q *query) needsDeadline() bool {
 
 // parseQuery validates the request parameters for the endpoint and
 // resolves the dataset. Validation happens before admission: malformed
-// requests are rejected without consuming an execution slot. The
-// returned query comes from a pool; the caller (the endpoint pipeline)
-// returns it with putQuery once the response is written. Parameters
-// are read by scanning RawQuery directly — the url.Values map the
-// stdlib builds would be the warm path's single largest allocation.
-func (s *Server) parseQuery(r *http.Request, endpoint string) (*query, *Dataset, error) {
-	q := getQuery(endpoint)
+// requests are rejected without consuming an execution slot.
+func (s *Server) parseQuery(params url.Values, endpoint string) (*query, *Dataset, error) {
+	q := &query{endpoint: endpoint}
 	if endpoint == "datasets" {
 		return q, nil, nil
 	}
-	raw := r.URL.RawQuery
-	name := queryParam(raw, "dataset")
+	name := params.Get("dataset")
 	if name == "" {
 		// Single-dataset deployments may omit the parameter.
 		s.mu.Lock()
@@ -86,35 +81,35 @@ func (s *Server) parseQuery(r *http.Request, endpoint string) (*query, *Dataset,
 	var err error
 	switch endpoint {
 	case "path":
-		if q.src, err = parseNode(queryParam(raw, "src")); err != nil {
+		if q.src, err = parseNode(params.Get("src")); err != nil {
 			return q, nil, badRequest("bad src: %v", err)
 		}
-		if q.dst, err = parseNode(queryParam(raw, "dst")); err != nil {
+		if q.dst, err = parseNode(params.Get("dst")); err != nil {
 			return q, nil, badRequest("bad dst: %v", err)
 		}
-		if v := queryParam(raw, "t"); v != "" {
+		if v := params.Get("t"); v != "" {
 			if q.t, err = strconv.ParseFloat(v, 64); err != nil || math.IsNaN(q.t) || math.IsInf(q.t, 0) {
 				return q, nil, badRequest("bad t %q: want a finite number", v)
 			}
 			q.hasT = true
 		}
-		if q.maxHops, err = parseCount(queryParam(raw, "maxhops"), 0, 1<<20); err != nil {
+		if q.maxHops, err = parseCount(params.Get("maxhops"), 0, 1<<20); err != nil {
 			return q, nil, badRequest("bad maxhops: %v", err)
 		}
-		recon := queryParam(raw, "reconstruct")
+		recon := params.Get("reconstruct")
 		q.recon = recon == "1" || recon == "true"
 	case "diameter":
-		if q.eps, err = parseEps(queryParam(raw, "eps"), ds.DefaultEps); err != nil {
+		if q.eps, err = parseEps(params.Get("eps"), ds.DefaultEps); err != nil {
 			return q, nil, err
 		}
-		if q.points, err = parseCount(queryParam(raw, "points"), ds.DefaultPoints, maxGridPoints); err != nil {
+		if q.points, err = parseCount(params.Get("points"), ds.DefaultPoints, maxGridPoints); err != nil {
 			return q, nil, badRequest("bad points: %v", err)
 		}
 	case "delaycdf":
-		if q.points, err = parseCount(queryParam(raw, "points"), ds.DefaultPoints, maxGridPoints); err != nil {
+		if q.points, err = parseCount(params.Get("points"), ds.DefaultPoints, maxGridPoints); err != nil {
 			return q, nil, badRequest("bad points: %v", err)
 		}
-		q.hopsRaw = queryParam(raw, "hops")
+		q.hopsRaw = params.Get("hops")
 		if q.hopsRaw == "" {
 			q.hopsRaw = "1,2,3,0"
 		}
@@ -140,57 +135,6 @@ func (s *Server) parseQuery(r *http.Request, endpoint string) (*query, *Dataset,
 		}
 	}
 	return q, ds, nil
-}
-
-// queryParam returns the first value for key in a raw query string,
-// replicating url.Values.Get without materializing the map: pairs
-// containing semicolons are dropped (net/url stopped treating ';' as a
-// separator), undecodable pairs are skipped, and values are unescaped
-// only when they actually contain an escape — the common numeric
-// parameters are returned as substrings of the request, allocation
-// free.
-func queryParam(raw, key string) string {
-	for len(raw) > 0 {
-		var pair string
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			pair, raw = raw[:i], raw[i+1:]
-		} else {
-			pair, raw = raw, ""
-		}
-		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
-			continue
-		}
-		k, v := pair, ""
-		if i := strings.IndexByte(pair, '='); i >= 0 {
-			k, v = pair[:i], pair[i+1:]
-		}
-		if !queryKeyMatch(k, key) {
-			continue
-		}
-		if strings.IndexByte(v, '%') < 0 && strings.IndexByte(v, '+') < 0 {
-			return v
-		}
-		dec, err := url.QueryUnescape(v)
-		if err != nil {
-			continue // url.ParseQuery drops this pair too
-		}
-		return dec
-	}
-	return ""
-}
-
-// queryKeyMatch compares a raw (possibly escaped) query key against a
-// literal. Keys never carry escapes in practice, so the fallback
-// unescape is cold.
-func queryKeyMatch(k, key string) bool {
-	if k == key {
-		return true
-	}
-	if strings.IndexByte(k, '%') < 0 && strings.IndexByte(k, '+') < 0 {
-		return false
-	}
-	dec, err := url.QueryUnescape(k)
-	return err == nil && dec == key
 }
 
 func parseNode(v string) (trace.NodeID, error) {
@@ -339,10 +283,7 @@ func (s *Server) handleDatasets(ctx context.Context, _ *Dataset, _ *query) (any,
 
 // handlePath answers from the warm frontier archive — an O(log) read
 // per request — so it never degrades; only the optional reconstruction
-// walks the timeline, under the request context. The frontier is built
-// into a pooled arena slot and the response comes from a pool the
-// pipeline returns it to after the write: a warm non-reconstructing
-// request allocates nothing (pinned by TestWarmPathServeAllocs).
+// walks the timeline, under the request context.
 func (s *Server) handlePath(ctx context.Context, ds *Dataset, q *query) (any, error) {
 	if err := ds.CheckPair(q.src, q.dst); err != nil {
 		return nil, badRequest("%v", err)
@@ -358,20 +299,15 @@ func (s *Server) handlePath(ctx context.Context, ds *Dataset, q *query) (any, er
 		c0 = tc.Since()
 	}
 	res := ds.Study.Result
-	var del float64
-	if res.Delta == 0 {
-		slot := getEntrySlot(res.PairArchiveLen(q.src, q.dst))
-		del = res.FrontierInto(q.src, q.dst, q.maxHops, slot.s).Del(t)
-		putEntrySlot(slot)
-	} else {
-		del = res.Frontier(q.src, q.dst, q.maxHops).Del(t)
+	del := res.Frontier(q.src, q.dst, q.maxHops).Del(t)
+	resp := &pathResponse{
+		Dataset: ds.Name,
+		Src:     q.src,
+		Dst:     q.dst,
+		T:       t,
+		MaxHops: q.maxHops,
+		MinHops: res.MinHops(q.src, q.dst),
 	}
-	resp := getPathResponse()
-	resp.Dataset = ds.Name
-	resp.Src, resp.Dst = q.src, q.dst
-	resp.T = t
-	resp.MaxHops = q.maxHops
-	resp.MinHops = res.MinHops(q.src, q.dst)
 	if !math.IsInf(del, 1) {
 		resp.Delivered = true
 		resp.DeliveryTime = del
@@ -382,13 +318,11 @@ func (s *Server) handlePath(ctx context.Context, ds *Dataset, q *query) (any, er
 		opt.Ctx = ctx
 		p, err := core.ReconstructPathView(ds.View, q.src, q.dst, t, q.maxHops, opt)
 		if err != nil {
-			resp.release()
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr
 			}
 			return nil, &httpError{code: http.StatusInternalServerError, msg: err.Error()}
 		}
-		resp.Path = resp.Path[:0]
 		for _, h := range p.Hops {
 			resp.Path = append(resp.Path, pathHop{From: h.From, To: h.To, At: h.At, Beg: h.Beg, End: h.End})
 		}
@@ -518,10 +452,10 @@ func (s *Server) cdfBounds(ds *Dataset, tc *obs.Trace, hops []int, grid []float6
 
 // ---- JSON plumbing --------------------------------------------------
 
-// contentTypeJSON is the shared Content-Type value for the append
-// path. net/http only reads header value slices, so sharing one across
-// requests is safe and skips the per-request slice Set allocates.
-var contentTypeJSON = []string{"application/json"}
+// errorResponse is the body of every non-2xx query response.
+type errorResponse struct {
+	Error string `json:"error"`
+}
 
 // isDegradedResponse reports whether v is a bounds-tier answer. It is
 // how the serving pipeline classifies a 200 as "degraded" — including
@@ -537,59 +471,38 @@ func isDegradedResponse(v any) bool {
 	return false
 }
 
-// countWriter counts bytes through to w (the cold generic-encoder
-// route's byte attribution).
-type countWriter struct {
-	w http.ResponseWriter
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// writeJSON serializes v: hot response shapes (jsonAppender) go
-// through a pooled append buffer with no reflection; everything else
-// falls back to the stock encoder. Both routes produce identical bytes
-// (object + trailing newline) — the append encoders are pinned
-// byte-for-byte against encoding/json. When the request carries a
-// trace, the write stamps its encode attribution (status, disposition,
-// bytes, encode time); tracing never changes the bytes.
+// writeJSON is the only route a JSON response takes: json.Marshal,
+// then the Content-Type, the status, the body and a trailing newline
+// (the bytes json.Encoder writes). A value the encoder rejects is a
+// handler bug and fails the request with a 500 rather than a broken
+// 200. When the request carries a trace, the write stamps its encode
+// attribution (status, disposition, bytes, encode time); tracing
+// never changes the bytes.
 func writeJSON(w http.ResponseWriter, tc *obs.Trace, code int, v any) {
 	var enc0 int64
 	if tc != nil {
 		tc.Event(obs.TraceEncodeStart)
 		enc0 = tc.Since()
 	}
-	var wrote int64
-	if enc, ok := v.(jsonAppender); ok {
-		eb := encBufPool.Get().(*encBuf)
-		b := enc.appendJSON(eb.b[:0])
-		b = append(b, '\n')
-		h := w.Header()
-		if len(h["Content-Type"]) == 0 {
-			h["Content-Type"] = contentTypeJSON
-		}
-		w.WriteHeader(code)
-		n, _ := w.Write(b)
-		wrote = int64(n)
-		eb.b = b
-		encBufPool.Put(eb)
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		cw := countWriter{w: w}
-		_ = json.NewEncoder(&cw).Encode(v)
-		wrote = cw.n
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		// A one-string struct always marshals.
+		body, _ = json.Marshal(errorResponse{Error: "internal error: " + err.Error()})
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	// A failed write means the client is gone; the byte count records
+	// what reached the connection.
+	n, _ := w.Write(append(body, '\n'))
 	if tc != nil {
 		tc.EncodeNS += tc.Since() - enc0
-		tc.EventArg(obs.TraceWrite, wrote)
+		tc.EventArg(obs.TraceWrite, int64(n))
 		tc.Status = code
-		tc.Bytes = wrote
-		if code == http.StatusOK && tc.Disposition == obs.DispOK && isDegradedResponse(v) {
+		tc.Bytes = int64(n)
+		if err != nil {
+			tc.Disposition = obs.DispError
+		} else if code == http.StatusOK && tc.Disposition == obs.DispOK && isDegradedResponse(v) {
 			tc.Disposition = obs.DispDegraded
 		}
 	}
@@ -611,5 +524,5 @@ func writeJSONError(w http.ResponseWriter, tc *obs.Trace, err error) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	writeJSON(w, tc, code, &errorResponse{Error: err.Error()})
+	writeJSON(w, tc, code, errorResponse{Error: err.Error()})
 }

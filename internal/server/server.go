@@ -31,12 +31,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -63,9 +63,6 @@ type Config struct {
 	// Logf, when non-nil, receives one line per notable event (panics,
 	// drain). It must be safe for concurrent use.
 	Logf func(format string, args ...any)
-	// Spans, when non-nil, records one span per request under
-	// server/<endpoint>.
-	Spans *obs.SpanLog
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// completed request (see accesslog.go for the schema), plus a full
 	// event-trace line for requests slower than SlowThreshold. Writes
@@ -230,9 +227,10 @@ func (s *Server) Handler() http.Handler {
 // An operator endpoint — it allocates freely and skips the admission
 // pipeline so it stays inspectable while the server is drowning.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
+	params := r.URL.Query()
 	f := obs.TraceFilter{
-		Endpoint:    r.URL.Query().Get("endpoint"),
-		Disposition: r.URL.Query().Get("disposition"),
+		Endpoint:    params.Get("endpoint"),
+		Disposition: params.Get("disposition"),
 	}
 	if f.Disposition != "" {
 		if _, ok := obs.ParseDisposition(f.Disposition); !ok {
@@ -240,7 +238,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := params.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			writeJSONError(w, nil, badRequest("bad limit %q: want a positive integer", v))
@@ -252,8 +250,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	if snaps == nil {
 		snaps = []obs.TraceSnapshot{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
+	writeJSON(w, nil, http.StatusOK, map[string]any{
 		"count":    len(snaps),
 		"requests": snaps,
 	})
@@ -287,7 +284,6 @@ func (s *Server) endpoint(name string, admitted bool, h func(ctx context.Context
 		// log sees the panicked 500 like any other outcome.
 		var (
 			tc      *obs.Trace
-			sp      *obs.Span
 			start   time.Time
 			entered bool
 		)
@@ -301,7 +297,6 @@ func (s *Server) endpoint(name string, admitted bool, h func(ctx context.Context
 			if !entered {
 				return
 			}
-			sp.End()
 			if tc != nil {
 				tc.TotalNS = tc.Since()
 				if tc.DeadlineNS > 0 {
@@ -338,7 +333,6 @@ func (s *Server) endpoint(name string, admitted bool, h func(ctx context.Context
 		srvMetrics.started.Inc()
 		entered = true
 		start = time.Now()
-		sp = spanStart(s.cfg.Spans, "server/"+name)
 		tc = s.tracer.Start(name)
 		if tc != nil {
 			// Adopt a caller-provided trace ID (truncated, not trusted
@@ -352,7 +346,8 @@ func (s *Server) endpoint(name string, admitted bool, h func(ctx context.Context
 
 		// Layer 2: derive (and validate) the request deadline before
 		// admission so time spent queued counts against it.
-		d, err := requestDeadline(r, s.cfg.MaxDeadline)
+		params := r.URL.Query()
+		d, err := requestDeadline(r.Header, params, s.cfg.MaxDeadline)
 		if err != nil {
 			writeJSONError(w, tc, err)
 			return
@@ -361,8 +356,7 @@ func (s *Server) endpoint(name string, admitted bool, h func(ctx context.Context
 			tc.DeadlineNS = int64(d)
 		}
 
-		q, ds, err := s.parseQuery(r, name)
-		defer putQuery(q)
+		q, ds, err := s.parseQuery(params, name)
 		if err != nil {
 			writeJSONError(w, tc, err)
 			return
@@ -400,18 +394,15 @@ func (s *Server) endpoint(name string, admitted bool, h func(ctx context.Context
 			return
 		}
 		writeJSON(w, tc, http.StatusOK, val)
-		if rel, ok := val.(releasable); ok {
-			rel.release()
-		}
 	})
 }
 
 // requestDeadline extracts the per-request timeout: the X-Deadline-Ms
 // header or deadline_ms query parameter, capped by the server maximum;
 // absent both, the maximum applies.
-func requestDeadline(r *http.Request, max time.Duration) (time.Duration, error) {
-	raw := r.Header.Get("X-Deadline-Ms")
-	if v := queryParam(r.URL.RawQuery, "deadline_ms"); v != "" {
+func requestDeadline(h http.Header, params url.Values, max time.Duration) (time.Duration, error) {
+	raw := h.Get("X-Deadline-Ms")
+	if v := params.Get("deadline_ms"); v != "" {
 		raw = v
 	}
 	if raw == "" {
@@ -421,11 +412,11 @@ func requestDeadline(r *http.Request, max time.Duration) (time.Duration, error) 
 	if err != nil || ms <= 0 {
 		return 0, badRequest("bad deadline_ms %q: want a positive integer of milliseconds", raw)
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > max {
-		d = max
+	// Cap before converting: a large enough ms overflows Duration.
+	if ms > int64(max/time.Millisecond) {
+		return max, nil
 	}
-	return d, nil
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // mapError turns pipeline errors into status codes; anything
@@ -511,12 +502,4 @@ func (s *Server) Drain(budget time.Duration) DrainStats {
 	st.Finished = s.finished.Load()
 	st.Inflight = st.Started - st.Finished
 	return st
-}
-
-// spanStart is obs.SpanLog.Start tolerating a nil log.
-func spanStart(l *obs.SpanLog, name string) *obs.Span {
-	if l == nil {
-		return nil
-	}
-	return l.Start(name)
 }

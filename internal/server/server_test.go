@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -21,7 +22,7 @@ import (
 
 // testTrace is the shared synthetic dataset: small enough to load in
 // milliseconds, dense enough that most pairs deliver within the window.
-func testTrace(t *testing.T) *trace.Trace {
+func testTrace(t testing.TB) *trace.Trace {
 	t.Helper()
 	tr, err := randtemp.DiscreteModel{N: 10, Lambda: 0.3, Slots: 30, SlotSeconds: 300}.Generate(rng.New(7))
 	if err != nil {
@@ -31,7 +32,7 @@ func testTrace(t *testing.T) *trace.Trace {
 	return tr
 }
 
-func testDataset(t *testing.T, lo LoadOptions) *Dataset {
+func testDataset(t testing.TB, lo LoadOptions) *Dataset {
 	t.Helper()
 	ds, err := LoadDataset(testTrace(t), lo)
 	if err != nil {
@@ -337,6 +338,30 @@ func TestPanicContainment(t *testing.T) {
 	if s.started.Load() != s.finished.Load() {
 		t.Fatalf("request accounting leaked: started=%d finished=%d", s.started.Load(), s.finished.Load())
 	}
+}
+
+// TestUnencodableResponse500: a response encoding/json rejects (a
+// non-finite float) fails the request with a JSON 500 classified as an
+// error, never a 200 with a truncated body.
+func TestUnencodableResponse500(t *testing.T) {
+	ds := testDataset(t, LoadOptions{SkipPrewarm: true})
+	log := &logBuf{}
+	s, _ := newTestServer(t, Config{AccessLog: log}, ds)
+	mux := http.NewServeMux()
+	mux.Handle("/nan", s.endpoint("nan", false, func(context.Context, *Dataset, *query) (any, error) {
+		return map[string]float64{"x": math.NaN()}, nil
+	}))
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	var e errorResponse
+	resp := getJSON(t, ts.URL+"/nan?dataset=synth", http.StatusInternalServerError, &e)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" || !strings.Contains(e.Error, "NaN") {
+		t.Fatalf("unencodable response: Content-Type %q, error %q", ct, e.Error)
+	}
+	waitFor(t, "error disposition in the access log", func() bool {
+		return strings.Contains(log.String(), `"status":500,"disposition":"error"`)
+	})
 }
 
 func TestOverloadSheds429(t *testing.T) {

@@ -34,6 +34,12 @@ func (l *logBuf) String() string {
 	return l.b.String()
 }
 
+func (l *logBuf) reset() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.b.Reset()
+}
+
 // lines decodes every access-log line into a generic map.
 func (l *logBuf) lines(t *testing.T) []map[string]any {
 	t.Helper()
