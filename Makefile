@@ -1,17 +1,24 @@
 # Standard gates for this repository. `make check` is the bar every PR
-# must pass: build, vet, and the full test suite under the race detector.
+# must pass: build, vet, gofmt, and the full test suite under the race
+# detector.
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-json bench-smoke profile quick-equivalence fuzz-smoke checkpoint-idempotence obs-smoke stream-check server-smoke loadgen-smoke
+.PHONY: check build vet fmt test race bench bench-json bench-smoke profile quick-equivalence fuzz-smoke checkpoint-idempotence obs-smoke stream-check server-smoke loadgen-smoke
 
-check: build vet race
+check: build vet fmt race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails listing every tracked Go file gofmt would change (tracked files
+# only, so build output such as .bench_build/ never trips it).
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -84,7 +91,8 @@ obs-smoke:
 # under the race detector — any split of a trace into append batches
 # (random batch sizes, seal cadences, epochs, out-of-order appends)
 # must reproduce the one-shot build byte-identically at workers 1 and 8,
-# and fuzzed seal+merge must equal a fresh index over the same contacts.
+# and fuzzed seal, compaction and eviction must leave a snapshot equal
+# to a fresh index and to the brute-force reference over its contacts.
 stream-check:
 	$(GO) test -race -timeout 20m -run 'StreamCheck|Appender|Segment|Extend|NewStudyResult|GenerateStream|Stream' \
 		./internal/timeline ./internal/core ./internal/analysis ./internal/trace ./internal/tracegen

@@ -47,6 +47,7 @@ type flightGroup struct {
 //   - A leader that panics completes the flight with errLeaderPanicked
 //     (followers fail contained) and then re-panics on its own request,
 //     where the server's recovery middleware turns it into a 500.
+//
 // The request's trace tc (nil when tracing is off) records its
 // coalescing role — TraceFollower when it attached to an in-flight
 // computation, TraceLeader plus the compute bracket when it ran fn

@@ -22,12 +22,12 @@ const DefaultSealEvery = 4096
 // Appender is the mutable ingestion side of a streaming timeline: it
 // accepts batched contact appends in any time order, seals them into
 // immutable CSR segments (LSM-style), compacts size-adjacent segments
-// back toward one canonical sorted run, and evicts segments whose
-// contacts have entirely expired. Snapshot freezes the current segment
-// set into a read-only Timeline whose views answer every existing query
-// — either straight off the segments (a handful of binary searches per
-// query) or, once a consumer materializes the merged index, off the
-// same canonical arrays timeline.New would have built.
+// by rebuilding their combined arrival run as one segment, and evicts
+// segments whose contacts have entirely expired. Snapshot freezes the
+// current segment set into a read-only Timeline whose views answer
+// every existing query — either straight off the segments (a handful of
+// binary searches per query) or, once a consumer materializes the
+// index, off the same canonical arrays timeline.New would have built.
 //
 // An Appender is safe for concurrent use; snapshots taken from it are
 // immutable and never invalidated by later appends. Only eviction
@@ -180,25 +180,26 @@ func (a *Appender) sealLocked() {
 	if a.sealed == len(a.arrival) {
 		return
 	}
-	run := [2]int{a.sealed, len(a.arrival)}
-	a.segs = append(a.segs, buildSegment(a.arrival[run[0]:run[1]], len(a.kinds)))
-	a.runs = append(a.runs, run)
+	tlMetrics.segSeals.Inc()
+	a.runs = append(a.runs, [2]int{a.sealed, len(a.arrival)})
 	a.sealed = len(a.arrival)
-	// Size-tiered compaction: fold the newest segment into its left
-	// neighbor while it is at least half the neighbor's size. The merge
-	// runs in the foreground — determinism and bounded memory beat a
-	// background goroutine here — and its cost is amortized: each
-	// contact is rewritten O(log n) times over the stream's life.
-	for len(a.segs) >= 2 {
-		last, prev := a.segs[len(a.segs)-1], a.segs[len(a.segs)-2]
-		if last.count*2 < prev.count {
-			break
-		}
-		a.segs[len(a.segs)-2] = mergeSegments(prev, last)
-		a.segs = a.segs[:len(a.segs)-1]
-		a.runs[len(a.runs)-2] = [2]int{a.runs[len(a.runs)-2][0], a.runs[len(a.runs)-1][1]}
-		a.runs = a.runs[:len(a.runs)-1]
+	// Size-tiered compaction: the new run absorbs its left neighbor
+	// while it holds at least half the neighbor's contacts, and the
+	// combined run is then indexed once. Compaction runs in the
+	// foreground — determinism and bounded memory beat a background
+	// goroutine here — and its cost is amortized: each contact is
+	// rebuilt O(log n) times over the stream's life.
+	j := len(a.runs) - 1
+	for j > 0 && 2*(a.sealed-a.runs[j][0]) >= a.runs[j-1][1]-a.runs[j-1][0] {
+		j--
 	}
+	run := [2]int{a.runs[j][0], a.sealed}
+	if j < len(a.runs)-1 {
+		tlMetrics.segMerges.Inc()
+		tlMetrics.mergeRewritten.Add(int64(run[1] - run[0]))
+	}
+	a.runs = append(a.runs[:j], run)
+	a.segs = append(a.segs[:j], buildSegment(a.arrival[run[0]:run[1]], len(a.kinds)))
 	tlMetrics.liveSegments.Set(int64(len(a.segs)))
 }
 
@@ -219,7 +220,7 @@ func (a *Appender) EvictBefore(cutoff float64) int {
 	var arrival []trace.Contact
 	for i, s := range a.segs {
 		if s.maxEnd < cutoff {
-			dropped += s.count
+			dropped += a.runs[i][1] - a.runs[i][0]
 			continue
 		}
 		keepSegs = append(keepSegs, s)
@@ -267,17 +268,8 @@ func (a *Appender) Snapshot() *Timeline {
 		Kinds:       a.kinds,
 		Contacts:    a.arrival[:total:total],
 	}
-	tl := &Timeline{
-		tr:       tr,
-		segs:     append([]*segment(nil), a.segs...),
-		streamID: a.id,
-		evictGen: a.evictGen,
-	}
-	tl.all = &View{
-		tl:    tl,
-		nKept: total,
-		winA:  tr.Start,
-		winB:  tr.End,
-	}
+	tl := New(tr)
+	tl.segs = append([]*segment(nil), a.segs...)
+	tl.streamID, tl.evictGen = a.id, a.evictGen
 	return tl
 }

@@ -105,9 +105,10 @@ func appendInBatches(t *testing.T, tr *trace.Trace, sealEvery int, r *rng.Source
 	return app
 }
 
-// TestAppenderSnapshotMatchesNew is the core seal+merge invariant: any
-// sequential batch split, at any seal threshold, snapshots to exactly
-// the index timeline.New builds over the same contact slice.
+// TestAppenderSnapshotMatchesNew is the core seal+compaction
+// invariant: any sequential batch split, at any seal threshold,
+// snapshots to exactly the index timeline.New builds over the same
+// contact slice.
 func TestAppenderSnapshotMatchesNew(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		for _, sealEvery := range []int{1, 7, 64, 100000} {
@@ -146,7 +147,7 @@ func TestSegmentQueriesBeforeMaterialization(t *testing.T) {
 		t.Fatalf("want multiple segments, got %d", app.Segments())
 	}
 	mat := app.Snapshot().All()
-	mat.OutgoingByBeg(0) // force the merged index
+	mat.OutgoingByBeg(0) // force the snapshot's index
 	for q := 0; q < 400; q++ {
 		u := trace.NodeID(r.Intn(10))
 		w := u
@@ -354,13 +355,17 @@ func TestSegmentMeetAllocs(t *testing.T) {
 }
 
 // FuzzAppendMerge drives arbitrary out-of-order, duplicate and
-// overlapping appends (with fuzzer-chosen batch boundaries and seal
-// thresholds) through seal+merge and asserts the merged index equals a
-// fresh timeline.New over the same arrival-order contacts.
+// overlapping appends (with fuzzer-chosen batch boundaries, seal
+// thresholds and eviction cutoffs) through seal, compaction and
+// eviction, and asserts the snapshot index equals both a fresh
+// timeline.New and the reference index over the same arrival-order
+// contacts.
 func FuzzAppendMerge(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(3))
 	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 255}, uint8(1))
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(0))
+	f.Add([]byte{0, 3, 10, 5, 2, 4, 20, 6, 4, 100, 200, 0x25, 6, 7, 30, 3,
+		0, 1, 210, 0x30, 2, 5, 40, 1, 3, 6, 41, 2, 0, 2, 42, 9}, uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, sealByte uint8) {
 		const n = 8
 		kinds := make([]trace.Kind, n)
@@ -387,6 +392,14 @@ func FuzzAppendMerge(f *testing.F) {
 				}
 				arrival = append(arrival, batch...)
 				batch = batch[:0]
+				// Durations use the low five bits of their byte; bit 5
+				// calls EvictBefore here, with the partner byte as the
+				// cutoff. Later seals then compact runs whose arrival
+				// offsets the eviction rewrote.
+				if data[i+3]&0x20 != 0 {
+					app.EvictBefore(float64(data[i+1]))
+					arrival = checkEvicted(t, app)
+				}
 			}
 		}
 		if err := app.Append(batch); err != nil {
@@ -397,6 +410,7 @@ func FuzzAppendMerge(f *testing.F) {
 		got := app.Snapshot().All()
 		want := timeline.New(tr).All()
 		checkIndexEqual(t, got, want)
+		checkAgainstRef(t, got, buildRef(arrival, n))
 		// Cross-check the segment-cursor read path on a fresh snapshot.
 		fresh := app.Snapshot().All()
 		for _, at := range []float64{0, 63.5, 128, 300} {
@@ -410,6 +424,33 @@ func FuzzAppendMerge(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkEvicted checks an appender right after EvictBefore: its snapshot
+// must index the surviving contacts exactly like the reference, and
+// Meet and NextContact answered off the segments of a fresh snapshot
+// must agree with brute force over them. It returns the survivors, the
+// arrival order later appends extend.
+func checkEvicted(t *testing.T, app *timeline.Appender) []trace.Contact {
+	t.Helper()
+	snap := app.Snapshot().All()
+	live := append([]trace.Contact(nil), snap.Contacts()...)
+	n := snap.NumNodes()
+	checkAgainstRef(t, snap, buildRef(live, n))
+	fresh := app.Snapshot().All()
+	for _, at := range []float64{0, 63.5, 128, 300} {
+		for u := trace.NodeID(0); int(u) < n; u++ {
+			if g, w := fresh.NextContact(u, at), bruteNext(live, u, at); g != w {
+				t.Fatalf("after eviction: NextContact(%d, %v) = %v, want %v", u, at, g, w)
+			}
+			for w := u + 1; int(w) < n; w++ {
+				if g, want := fresh.Meet(u, w, at), bruteMeet(live, u, w, at); g != want {
+					t.Fatalf("after eviction: Meet(%d, %d, %v) = %v, want %v", u, w, at, g, want)
+				}
+			}
+		}
+	}
+	return live
 }
 
 // BenchmarkAppendThroughput measures steady-state streaming ingestion:

@@ -15,9 +15,9 @@ var tlMetrics struct {
 	nextContact  *obs.Counter // timeline_nextcontact_calls_total
 	sliceQueries *obs.Counter // timeline_slice_queries_total
 
-	// Streaming-side families (Appender/segment lifecycle). The merge
-	// counters expose write amplification: mergeRewritten / appended is
-	// the classic LSM amplification factor.
+	// Streaming-side families (Appender/segment lifecycle). The
+	// compaction counters expose write amplification: mergeRewritten /
+	// appended is the classic LSM amplification factor.
 	appended        *obs.Counter // timeline_appended_contacts_total
 	segSeals        *obs.Counter // timeline_segment_seals_total
 	segMerges       *obs.Counter // timeline_segment_merges_total
@@ -44,9 +44,9 @@ func init() {
 		tlMetrics.segSeals = r.Counter("timeline_segment_seals_total",
 			"immutable CSR segments sealed from appender memtables")
 		tlMetrics.segMerges = r.Counter("timeline_segment_merges_total",
-			"segment pairs compacted into one canonical run")
+			"compactions: adjacent segments rebuilt as one sorted run")
 		tlMetrics.mergeRewritten = r.Counter("timeline_merge_contacts_rewritten_total",
-			"contacts rewritten by compaction merges (write amplification)")
+			"contacts re-sorted by compactions (write amplification)")
 		tlMetrics.segsEvicted = r.Counter("timeline_segments_evicted_total",
 			"expired segments dropped by time-window eviction")
 		tlMetrics.contactsEvicted = r.Counter("timeline_contacts_evicted_total",

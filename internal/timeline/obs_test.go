@@ -19,11 +19,15 @@ func TestObsCounters(t *testing.T) {
 	tr := randomTrace(10, 200, rng.New(7))
 	tl := timeline.New(tr)
 	v := tl.All()
+	builds := reg.Counter("timeline_index_builds_total", "")
+	before := builds.Value()
 	v.Meet(0, 1, 0)
+	if got := builds.Value() - before; got != 1 {
+		t.Fatalf("Meet on a fresh view raised timeline_index_builds_total by %d, want 1 (the pair half only)", got)
+	}
 	v.NextContact(0, 0)
-	builds0 := reg.Counter("timeline_index_builds_total", "").Value()
-	if builds0 <= 0 {
-		t.Fatalf("timeline_index_builds_total = %d, want > 0 after base queries", builds0)
+	if got := builds.Value() - before; got != 2 {
+		t.Fatalf("Meet then NextContact raised timeline_index_builds_total by %d, want 2 (both halves)", got)
 	}
 	if got := reg.Counter("timeline_meet_calls_total", "").Value(); got != 1 {
 		t.Fatalf("timeline_meet_calls_total = %d, want 1", got)

@@ -1,349 +1,28 @@
 package timeline
 
-import (
-	"sort"
+import "opportunet/internal/trace"
 
-	"opportunet/internal/trace"
-)
-
-// segment is one immutable sorted run of a streaming timeline: the full
-// CSR index (per-node adjacency in both sort orders with suffix-min
-// begin times, per-pair intervals over a sorted distinct key list) built
-// over a contiguous arrival-order slice of the appender's contact log.
-// CIdx values are local to the segment (the position of the contact
-// within the segment's own slice); merging two arrival-adjacent segments
-// shifts the right operand's indices by the left's length, so folding
-// every segment left to right yields arrival-positional indices — the
-// exact arrays timeline.New would build over the same contact slice.
+// segment is one immutable sorted run of a streaming timeline: both
+// index halves built over a contiguous arrival-order slice of the
+// appender's contact log, with CIdx local to that slice. Compaction
+// rebuilds the combined slice of adjacent segments the same way, so a
+// segment covering the whole log holds exactly the arrays timeline.New
+// would build over the same contacts.
 //
 // Segments are never mutated after construction, so any number of
 // snapshots and queries may share them without synchronization.
 type segment struct {
-	count          int // contacts in this segment
-	minBeg, maxEnd float64
-
-	// Per-node adjacency, CSR over all node IDs.
-	adjOff       []int32
-	adjByBeg     []DirContact
-	adjByEnd     []DirContact
-	adjSufMinBeg []float64
-
-	// Per-pair intervals, CSR over the segment's own sorted distinct
-	// pair-key list (not the global pair-ID space: a segment cannot know
-	// which pairs later segments will introduce).
-	pairKeys      []uint64
-	pairOff       []int32
-	pairByBeg     []Interval
-	pairByEnd     []Interval
-	pairSufMinBeg []float64
+	maxEnd float64 // latest contact end: eviction and query early-out
+	adj    adjIndex
+	pairs  pairIndex
 }
 
 // buildSegment indexes one arrival-order contact run. n is the node
 // count of the stream (fixed by the appender's header).
 func buildSegment(contacts []trace.Contact, n int) *segment {
-	tlMetrics.segSeals.Inc()
-	s := &segment{count: len(contacts), minBeg: inf, maxEnd: -inf}
+	s := &segment{maxEnd: -inf, adj: buildAdj(contacts, n), pairs: buildPairs(contacts)}
 	for _, c := range contacts {
-		if c.Beg < s.minBeg {
-			s.minBeg = c.Beg
-		}
-		if c.End > s.maxEnd {
-			s.maxEnd = c.End
-		}
+		s.maxEnd = max(s.maxEnd, c.End)
 	}
-
-	// Adjacency: counting sort into CSR, then canonical in-segment sorts
-	// — the same construction as buildBaseAdj with segment-local CIdx.
-	off := make([]int32, n+1)
-	for _, c := range contacts {
-		off[c.A+1]++
-		off[c.B+1]++
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	flat := make([]DirContact, 2*len(contacts))
-	cur := make([]int32, n)
-	copy(cur, off[:n])
-	for i, c := range contacts {
-		flat[cur[c.A]] = DirContact{To: c.B, Beg: c.Beg, End: c.End, CIdx: int32(i), Fwd: true}
-		cur[c.A]++
-		flat[cur[c.B]] = DirContact{To: c.A, Beg: c.Beg, End: c.End, CIdx: int32(i), Fwd: false}
-		cur[c.B]++
-	}
-	byEnd := make([]DirContact, len(flat))
-	copy(byEnd, flat)
-	for u := 0; u < n; u++ {
-		seg := flat[off[u]:off[u+1]]
-		sort.Slice(seg, func(i, j int) bool { return lessByBeg(seg[i], seg[j]) })
-		seg = byEnd[off[u]:off[u+1]]
-		sort.Slice(seg, func(i, j int) bool { return lessByEnd(seg[i], seg[j]) })
-	}
-	s.adjOff = off
-	s.adjByBeg = flat
-	s.adjByEnd = byEnd
-	s.adjSufMinBeg = sufMinBegAdj(off, byEnd)
-
-	// Pair index over the segment's own distinct keys, sorted — packed
-	// keys order exactly like lexicographic (min, max) endpoints.
-	keys := make([]uint64, 0, len(contacts))
-	for _, c := range contacts {
-		keys = append(keys, PairKey(c.A, c.B))
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	keys = dedupeKeys(keys)
-	np := len(keys)
-	poff := make([]int32, np+1)
-	for _, c := range contacts {
-		poff[keyIndex(keys, PairKey(c.A, c.B))+1]++
-	}
-	for i := 0; i < np; i++ {
-		poff[i+1] += poff[i]
-	}
-	byBeg := make([]Interval, len(contacts))
-	pcur := make([]int32, np)
-	copy(pcur, poff[:np])
-	for i, c := range contacts {
-		id := keyIndex(keys, PairKey(c.A, c.B))
-		byBeg[pcur[id]] = Interval{Beg: c.Beg, End: c.End, CIdx: int32(i)}
-		pcur[id]++
-	}
-	ivEnd := make([]Interval, len(byBeg))
-	copy(ivEnd, byBeg)
-	for p := 0; p < np; p++ {
-		seg := byBeg[poff[p]:poff[p+1]]
-		sort.Slice(seg, func(i, j int) bool { return lessIvBeg(seg[i], seg[j]) })
-		seg = ivEnd[poff[p]:poff[p+1]]
-		sort.Slice(seg, func(i, j int) bool { return lessIvEnd(seg[i], seg[j]) })
-	}
-	s.pairKeys = keys
-	s.pairOff = poff
-	s.pairByBeg = byBeg
-	s.pairByEnd = ivEnd
-	s.pairSufMinBeg = sufMinBegPairs(poff, ivEnd)
 	return s
-}
-
-func dedupeKeys(keys []uint64) []uint64 {
-	out := keys[:0]
-	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// keyIndex locates k in the sorted distinct key list, or returns -1.
-func keyIndex(keys []uint64, k uint64) int {
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-	if i < len(keys) && keys[i] == k {
-		return i
-	}
-	return -1
-}
-
-// mergeSegments combines two arrival-adjacent segments (a immediately
-// before b in arrival order) into one. Every per-node and per-pair run
-// is a linear merge of two canonically sorted runs; b's local CIdx
-// values shift by a.count so the merged segment's indices are local to
-// the concatenated slice. All the canonical orders are total with a
-// CIdx tie-break and every a-side index is smaller than every shifted
-// b-side index, so taking the left operand on key ties reproduces
-// exactly the order a fresh sort over the concatenation would produce.
-func mergeSegments(a, b *segment) *segment {
-	tlMetrics.segMerges.Inc()
-	tlMetrics.mergeRewritten.Add(int64(a.count + b.count))
-	s := &segment{
-		count:  a.count + b.count,
-		minBeg: a.minBeg,
-		maxEnd: a.maxEnd,
-	}
-	if b.minBeg < s.minBeg {
-		s.minBeg = b.minBeg
-	}
-	if b.maxEnd > s.maxEnd {
-		s.maxEnd = b.maxEnd
-	}
-	shift := int32(a.count)
-	n := len(a.adjOff) - 1
-
-	s.adjOff = make([]int32, n+1)
-	for u := 0; u <= n; u++ {
-		s.adjOff[u] = a.adjOff[u] + b.adjOff[u]
-	}
-	s.adjByBeg = make([]DirContact, len(a.adjByBeg)+len(b.adjByBeg))
-	s.adjByEnd = make([]DirContact, len(s.adjByBeg))
-	for u := 0; u < n; u++ {
-		mergeDir(s.adjByBeg[s.adjOff[u]:s.adjOff[u+1]],
-			a.adjByBeg[a.adjOff[u]:a.adjOff[u+1]],
-			b.adjByBeg[b.adjOff[u]:b.adjOff[u+1]], shift, lessByBeg)
-		mergeDir(s.adjByEnd[s.adjOff[u]:s.adjOff[u+1]],
-			a.adjByEnd[a.adjOff[u]:a.adjOff[u+1]],
-			b.adjByEnd[b.adjOff[u]:b.adjOff[u+1]], shift, lessByEnd)
-	}
-	s.adjSufMinBeg = sufMinBegAdj(s.adjOff, s.adjByEnd)
-
-	// Pair key union, then per-key interval merges.
-	s.pairKeys = unionKeys(a.pairKeys, b.pairKeys)
-	np := len(s.pairKeys)
-	s.pairOff = make([]int32, np+1)
-	for i, k := range s.pairKeys {
-		var cnt int32
-		if ai := keyIndex(a.pairKeys, k); ai >= 0 {
-			cnt += a.pairOff[ai+1] - a.pairOff[ai]
-		}
-		if bi := keyIndex(b.pairKeys, k); bi >= 0 {
-			cnt += b.pairOff[bi+1] - b.pairOff[bi]
-		}
-		s.pairOff[i+1] = s.pairOff[i] + cnt
-	}
-	s.pairByBeg = make([]Interval, len(a.pairByBeg)+len(b.pairByBeg))
-	s.pairByEnd = make([]Interval, len(s.pairByBeg))
-	for i, k := range s.pairKeys {
-		var abeg, aend, bbeg, bend []Interval
-		if ai := keyIndex(a.pairKeys, k); ai >= 0 {
-			abeg = a.pairByBeg[a.pairOff[ai]:a.pairOff[ai+1]]
-			aend = a.pairByEnd[a.pairOff[ai]:a.pairOff[ai+1]]
-		}
-		if bi := keyIndex(b.pairKeys, k); bi >= 0 {
-			bbeg = b.pairByBeg[b.pairOff[bi]:b.pairOff[bi+1]]
-			bend = b.pairByEnd[b.pairOff[bi]:b.pairOff[bi+1]]
-		}
-		mergeIv(s.pairByBeg[s.pairOff[i]:s.pairOff[i+1]], abeg, bbeg, shift, lessIvBeg)
-		mergeIv(s.pairByEnd[s.pairOff[i]:s.pairOff[i+1]], aend, bend, shift, lessIvEnd)
-	}
-	s.pairSufMinBeg = sufMinBegPairs(s.pairOff, s.pairByEnd)
-	return s
-}
-
-// mergeDir linearly merges two canonically sorted adjacency runs into
-// dst, shifting the right run's local CIdx. Ties take the left run —
-// its indices are strictly smaller, which is what the CIdx tie-break of
-// the total order demands.
-func mergeDir(dst, a, b []DirContact, shift int32, less func(x, y DirContact) bool) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		bj := b[j]
-		bj.CIdx += shift
-		if less(bj, a[i]) {
-			dst[k] = bj
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
-	}
-	for ; i < len(a); i++ {
-		dst[k] = a[i]
-		k++
-	}
-	for ; j < len(b); j++ {
-		bj := b[j]
-		bj.CIdx += shift
-		dst[k] = bj
-		k++
-	}
-}
-
-func mergeIv(dst, a, b []Interval, shift int32, less func(x, y Interval) bool) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		bj := b[j]
-		bj.CIdx += shift
-		if less(bj, a[i]) {
-			dst[k] = bj
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
-	}
-	for ; i < len(a); i++ {
-		dst[k] = a[i]
-		k++
-	}
-	for ; j < len(b); j++ {
-		bj := b[j]
-		bj.CIdx += shift
-		dst[k] = bj
-		k++
-	}
-}
-
-// unionKeys merges two sorted distinct key lists into one.
-func unionKeys(a, b []uint64) []uint64 {
-	out := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// --- per-segment queries ---------------------------------------------------
-
-// meet answers Meet restricted to this segment: the earliest time >= t
-// at which the pair with packed key shares a contact, or +Inf.
-func (s *segment) meet(key uint64, t float64) float64 {
-	if s.maxEnd < t {
-		return inf
-	}
-	id := keyIndex(s.pairKeys, key)
-	if id < 0 {
-		return inf
-	}
-	lo, hi := int(s.pairOff[id]), int(s.pairOff[id+1])
-	seg := s.pairByEnd[lo:hi]
-	i := sort.Search(len(seg), func(i int) bool { return seg[i].End >= t })
-	if i == len(seg) {
-		return inf
-	}
-	m := t
-	if sm := s.pairSufMinBeg[lo+i]; sm > m {
-		m = sm
-	}
-	return m
-}
-
-// nextContact answers NextContact restricted to this segment.
-func (s *segment) nextContact(u trace.NodeID, t float64) float64 {
-	if s.maxEnd < t {
-		return inf
-	}
-	lo, hi := int(s.adjOff[u]), int(s.adjOff[u+1])
-	seg := s.adjByEnd[lo:hi]
-	i := sort.Search(len(seg), func(i int) bool { return seg[i].End >= t })
-	if i == len(seg) {
-		return inf
-	}
-	m := t
-	if sm := s.adjSufMinBeg[lo+i]; sm > m {
-		m = sm
-	}
-	return m
-}
-
-// outgoingAfter returns the segment's usable contact directions leaving
-// u with End >= t, sorted by non-decreasing end time. CIdx values are
-// segment-local. The slice is shared; callers must not modify it.
-func (s *segment) outgoingAfter(u trace.NodeID, t float64) []DirContact {
-	lo, hi := int(s.adjOff[u]), int(s.adjOff[u+1])
-	seg := s.adjByEnd[lo:hi]
-	i := sort.Search(len(seg), func(i int) bool { return seg[i].End >= t })
-	return seg[i:]
 }

@@ -65,9 +65,8 @@ func (v *View) NextContactSeries(u trace.NodeID) []StepPoint {
 // properties are unchanged by merging, but statistics (durations,
 // inter-contact times) become meaningful.
 func (v *View) NormalizePairs() *trace.Trace {
-	v.ensurePairIndex()
-	tl := v.tl
-	src := tl.tr
+	x := v.ensurePairIndex()
+	src := v.tl.tr
 	cp := &trace.Trace{
 		Name:        src.Name,
 		Granularity: src.Granularity,
@@ -75,12 +74,12 @@ func (v *View) NormalizePairs() *trace.Trace {
 		End:         v.winB,
 		Kinds:       append([]trace.Kind(nil), src.Kinds...),
 	}
-	for p := range tl.pairA {
-		seg := v.pairByBeg[v.pairOff[p]:v.pairOff[p+1]]
+	for p, k := range x.keys {
+		seg := x.byBeg[x.off[p]:x.off[p+1]]
 		if len(seg) == 0 {
 			continue
 		}
-		a, b := tl.pairA[p], tl.pairB[p]
+		a, b := pairEnds(k)
 		cur := trace.Contact{A: a, B: b, Beg: seg[0].Beg, End: seg[0].End}
 		for _, iv := range seg[1:] {
 			if iv.Beg <= cur.End {
@@ -111,11 +110,10 @@ func NormalizePairs(tr *trace.Trace) *trace.Trace {
 // prior work the paper builds on. Gaps are emitted in canonical pair
 // order.
 func (v *View) InterContactTimes() []float64 {
-	v.ensurePairIndex()
-	tl := v.tl
+	x := v.ensurePairIndex()
 	var out []float64
-	for p := range tl.pairA {
-		seg := v.pairByBeg[v.pairOff[p]:v.pairOff[p+1]]
+	for p := range x.keys {
+		seg := x.byBeg[x.off[p]:x.off[p+1]]
 		if len(seg) < 2 {
 			continue
 		}
@@ -140,13 +138,13 @@ func (v *View) InterContactTimes() []float64 {
 // had at least one contact with: the static contact graph degree, useful
 // to sanity-check generator heterogeneity.
 func (v *View) DegreeOverWindow() []int {
-	v.ensurePairIndex()
-	tl := v.tl
+	x := v.ensurePairIndex()
 	deg := make([]int, v.NumNodes())
-	for p := range tl.pairA {
-		if v.pairOff[p+1] > v.pairOff[p] {
-			deg[tl.pairA[p]]++
-			deg[tl.pairB[p]]++
+	for p, k := range x.keys {
+		if x.off[p+1] > x.off[p] {
+			a, b := pairEnds(k)
+			deg[a]++
+			deg[b]++
 		}
 	}
 	return deg

@@ -16,6 +16,13 @@
 // is safe for concurrent use by any number of goroutines and a consumer
 // that only needs the pair index never pays for adjacency.
 //
+// One builder sorts contacts into each half of the index: buildAdj for
+// the adjacency, buildPairs for the pair intervals. The identity view of
+// New, an Appender's sealed segments and its compactions all build
+// through them, so a snapshot's arrays are exactly those New builds over
+// the same contacts. The sorted pair-key list of the whole trace is the
+// pair-ID space every view shares.
+//
 // The structures:
 //
 //   - per-node outgoing contact directions in CSR layout, sorted by begin
@@ -29,8 +36,9 @@
 package timeline
 
 import (
+	"math"
+	"slices"
 	"sort"
-	"sync"
 
 	"opportunet/internal/trace"
 )
@@ -72,23 +80,13 @@ type Interval struct {
 type Timeline struct {
 	tr *trace.Trace
 
-	// Pair-ID space, shared by every view: pair IDs are assigned in
-	// canonical lexicographic (a, b) order with a < b, so iterating IDs
-	// yields a deterministic pair order independent of contact order.
-	pairOnce sync.Once
-	pairID   map[uint64]int32
-	pairA    []trace.NodeID
-	pairB    []trace.NodeID
-
 	// Streaming snapshots (Appender.Snapshot) carry the sealed segment
-	// set: base views answer point queries straight off the segments
-	// until a consumer forces the merged canonical arrays. nil for
-	// timelines built by New.
-	segs      []*segment
-	streamID  string
-	evictGen  uint64
-	mergeOnce sync.Once
-	merged    *segment
+	// set: the identity view answers point queries straight off the
+	// segments until a consumer forces its index. nil for timelines
+	// built by New.
+	segs     []*segment
+	streamID string
+	evictGen uint64
 
 	all *View
 }
@@ -119,109 +117,150 @@ func (tl *Timeline) StreamInfo() (id string, evictGen uint64, ok bool) {
 	return tl.streamID, tl.evictGen, tl.streamID != ""
 }
 
-// mergedSegment folds the snapshot's segments left to right into one
-// canonical segment whose local indices are arrival-positional — the
-// exact arrays timeline.New would build over the same contact slice.
-// Built at most once per snapshot, on first demand.
-func (tl *Timeline) mergedSegment() *segment {
-	tl.mergeOnce.Do(func() {
-		if len(tl.segs) == 1 {
-			tl.merged = tl.segs[0]
-			return
-		}
-		if len(tl.segs) == 0 {
-			tl.merged = buildSegment(nil, tl.tr.NumNodes())
-			return
-		}
-		m := tl.segs[0]
-		for _, s := range tl.segs[1:] {
-			m = mergeSegments(m, s)
-		}
-		tl.merged = m
-	})
-	return tl.merged
-}
-
 // All returns the identity view exposing the whole trace.
 func (tl *Timeline) All() *View { return tl.all }
 
 // NumPairs returns the number of distinct unordered device pairs with at
 // least one contact anywhere in the trace (views share this ID space even
 // when a filter empties a pair's interval list).
-func (tl *Timeline) NumPairs() int {
-	tl.ensurePairs()
-	return len(tl.pairA)
+func (tl *Timeline) NumPairs() int { return len(tl.all.ensurePairIndex().keys) }
+
+// adjIndex is the per-node half of the index: both usable directions of
+// every contact, node u's run at [off[u], off[u+1]) in CSR layout,
+// sorted by (Beg, End, To, CIdx) in byBeg and by (End, Beg, To, CIdx) in
+// byEnd; sufMinBeg[i] is the smallest Beg among byEnd[i:] within its run.
+type adjIndex struct {
+	off       []int32
+	byBeg     []DirContact
+	byEnd     []DirContact
+	sufMinBeg []float64
 }
 
-// ensurePairs assigns canonical pair IDs: distinct unordered pairs sorted
-// lexicographically by (min, max) endpoint. Packed keys order exactly
-// that way, so sorting the keys suffices.
-func (tl *Timeline) ensurePairs() {
-	tl.pairOnce.Do(func() {
-		set := make(map[uint64]struct{})
-		for _, c := range tl.tr.Contacts {
-			set[PairKey(c.A, c.B)] = struct{}{}
-		}
-		keys := make([]uint64, 0, len(set))
-		for k := range set {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		tl.pairID = make(map[uint64]int32, len(keys))
-		tl.pairA = make([]trace.NodeID, len(keys))
-		tl.pairB = make([]trace.NodeID, len(keys))
-		for id, k := range keys {
-			tl.pairID[k] = int32(id)
-			tl.pairA[id] = trace.NodeID(k >> 32)
-			tl.pairB[id] = trace.NodeID(uint32(k))
-		}
-	})
+// pairIndex is the per-pair half. keys holds the distinct pair keys in
+// ascending order, which is lexicographic (min, max) endpoint order, and
+// a pair's ID is its position in keys; id maps a key back to it. Pair
+// p's intervals are the CSR run [off[p], off[p+1]), sorted by (Beg, End,
+// CIdx) in byBeg and by (End, Beg, CIdx) in byEnd, with suffix minima of
+// Beg aligned to byEnd as in adjIndex.
+type pairIndex struct {
+	keys      []uint64
+	id        map[uint64]int32
+	off       []int32
+	byBeg     []Interval
+	byEnd     []Interval
+	sufMinBeg []float64
 }
 
-// buildBaseAdj fills the identity view's adjacency arrays straight from
-// the trace: both directions of every contact, grouped per node in CSR
-// layout, sorted canonically within each node segment.
-func (v *View) buildBaseAdj() {
-	tlMetrics.indexBuilds.Inc()
-	if v.tl.segs != nil {
-		s := v.tl.mergedSegment()
-		v.adjOff = s.adjOff
-		v.adjByBeg = s.adjByBeg
-		v.adjByEnd = s.adjByEnd
-		v.adjSufMinBeg = s.adjSufMinBeg
-		return
-	}
-	tr := v.tl.tr
-	n := tr.NumNodes()
+// pairEnds unpacks a PairKey into its canonical endpoints (a < b).
+func pairEnds(k uint64) (a, b trace.NodeID) {
+	return trace.NodeID(k >> 32), trace.NodeID(uint32(k))
+}
+
+// buildAdj sorts contacts into the adjacency half over n nodes; CIdx is
+// a contact's position in contacts. buildAdj and buildPairs are the only
+// code that sorts contacts into CSR arrays: the identity view of New,
+// sealed segments and compaction all build through them.
+func buildAdj(contacts []trace.Contact, n int) adjIndex {
 	off := make([]int32, n+1)
-	for _, c := range tr.Contacts {
+	for _, c := range contacts {
 		off[c.A+1]++
 		off[c.B+1]++
 	}
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
-	flat := make([]DirContact, 2*len(tr.Contacts))
-	cur := make([]int32, n)
-	copy(cur, off[:n])
-	for i, c := range tr.Contacts {
-		flat[cur[c.A]] = DirContact{To: c.B, Beg: c.Beg, End: c.End, CIdx: int32(i), Fwd: true}
+	byBeg := make([]DirContact, 2*len(contacts))
+	cur := slices.Clone(off[:n])
+	for i, c := range contacts {
+		byBeg[cur[c.A]] = DirContact{To: c.B, Beg: c.Beg, End: c.End, CIdx: int32(i), Fwd: true}
 		cur[c.A]++
-		flat[cur[c.B]] = DirContact{To: c.A, Beg: c.Beg, End: c.End, CIdx: int32(i), Fwd: false}
+		byBeg[cur[c.B]] = DirContact{To: c.A, Beg: c.Beg, End: c.End, CIdx: int32(i), Fwd: false}
 		cur[c.B]++
 	}
-	byEnd := make([]DirContact, len(flat))
-	copy(byEnd, flat)
+	byEnd := slices.Clone(byBeg)
 	for u := 0; u < n; u++ {
-		seg := flat[off[u]:off[u+1]]
-		sort.Slice(seg, func(i, j int) bool { return lessByBeg(seg[i], seg[j]) })
-		seg = byEnd[off[u]:off[u+1]]
-		sort.Slice(seg, func(i, j int) bool { return lessByEnd(seg[i], seg[j]) })
+		run := byBeg[off[u]:off[u+1]]
+		sort.Slice(run, func(i, j int) bool { return lessByBeg(run[i], run[j]) })
+		run = byEnd[off[u]:off[u+1]]
+		sort.Slice(run, func(i, j int) bool { return lessByEnd(run[i], run[j]) })
 	}
-	v.adjOff = off
-	v.adjByBeg = flat
-	v.adjByEnd = byEnd
-	v.adjSufMinBeg = sufMinBegAdj(off, byEnd)
+	return adjIndex{off: off, byBeg: byBeg, byEnd: byEnd, sufMinBeg: sufMinBegAdj(off, byEnd)}
+}
+
+// buildPairs sorts contacts into the pair half; CIdx is a contact's
+// position in contacts.
+func buildPairs(contacts []trace.Contact) pairIndex {
+	id := make(map[uint64]int32)
+	for _, c := range contacts {
+		id[PairKey(c.A, c.B)] = 0
+	}
+	keys := make([]uint64, 0, len(id))
+	for k := range id {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for p, k := range keys {
+		id[k] = int32(p)
+	}
+	np := len(keys)
+	off := make([]int32, np+1)
+	for _, c := range contacts {
+		off[id[PairKey(c.A, c.B)]+1]++
+	}
+	for p := 0; p < np; p++ {
+		off[p+1] += off[p]
+	}
+	byBeg := make([]Interval, len(contacts))
+	cur := slices.Clone(off[:np])
+	for i, c := range contacts {
+		p := id[PairKey(c.A, c.B)]
+		byBeg[cur[p]] = Interval{Beg: c.Beg, End: c.End, CIdx: int32(i)}
+		cur[p]++
+	}
+	byEnd := slices.Clone(byBeg)
+	for p := 0; p < np; p++ {
+		run := byBeg[off[p]:off[p+1]]
+		sort.Slice(run, func(i, j int) bool { return lessIvBeg(run[i], run[j]) })
+		run = byEnd[off[p]:off[p+1]]
+		sort.Slice(run, func(i, j int) bool { return lessIvEnd(run[i], run[j]) })
+	}
+	return pairIndex{keys: keys, id: id, off: off, byBeg: byBeg, byEnd: byEnd, sufMinBeg: sufMinBegPairs(off, byEnd)}
+}
+
+// tail returns the byEnd position of u's first direction with End >= t
+// and the end of u's run.
+func (x *adjIndex) tail(u trace.NodeID, t float64) (i, hi int) {
+	lo, hi := int(x.off[u]), int(x.off[u+1])
+	run := x.byEnd[lo:hi]
+	return lo + sort.Search(len(run), func(i int) bool { return run[i].End >= t }), hi
+}
+
+// next is NextContact over this index: the earliest time >= t at which
+// u is in contact with any device, or +Inf.
+func (x *adjIndex) next(u trace.NodeID, t float64) float64 {
+	i, hi := x.tail(u, t)
+	if i == hi {
+		return inf
+	}
+	return math.Max(t, x.sufMinBeg[i])
+}
+
+// meet is Meet over this index: the earliest time >= t at which the pair
+// with packed key shares a contact, or +Inf — one binary search for the
+// first interval ending at or after t, whose suffix-min begin bounds how
+// early the meeting can start.
+func (x *pairIndex) meet(key uint64, t float64) float64 {
+	p, ok := x.id[key]
+	if !ok {
+		return inf
+	}
+	lo, hi := int(x.off[p]), int(x.off[p+1])
+	run := x.byEnd[lo:hi]
+	i := sort.Search(len(run), func(i int) bool { return run[i].End >= t })
+	if i == len(run) {
+		return inf
+	}
+	return math.Max(t, x.sufMinBeg[lo+i])
 }
 
 // lessByBeg is the canonical adjacency order: (Beg, End, To, CIdx).
@@ -269,53 +308,6 @@ func sufMinBegAdj(off []int32, byEnd []DirContact) []float64 {
 		}
 	}
 	return suf
-}
-
-// buildBasePairs fills the identity view's per-pair interval arrays in
-// CSR layout over the canonical pair IDs.
-func (v *View) buildBasePairs() {
-	tlMetrics.indexBuilds.Inc()
-	tl := v.tl
-	tl.ensurePairs()
-	if tl.segs != nil {
-		// The merged segment's sorted distinct key list IS the canonical
-		// pair-ID order, so its CSR arrays adopt directly.
-		s := tl.mergedSegment()
-		v.pairOff = s.pairOff
-		v.pairByBeg = s.pairByBeg
-		v.pairByEnd = s.pairByEnd
-		v.pairSufMinBeg = s.pairSufMinBeg
-		return
-	}
-	tr := tl.tr
-	np := len(tl.pairA)
-	off := make([]int32, np+1)
-	for _, c := range tr.Contacts {
-		off[tl.pairID[PairKey(c.A, c.B)]+1]++
-	}
-	for i := 0; i < np; i++ {
-		off[i+1] += off[i]
-	}
-	byBeg := make([]Interval, len(tr.Contacts))
-	cur := make([]int32, np)
-	copy(cur, off[:np])
-	for i, c := range tr.Contacts {
-		id := tl.pairID[PairKey(c.A, c.B)]
-		byBeg[cur[id]] = Interval{Beg: c.Beg, End: c.End, CIdx: int32(i)}
-		cur[id]++
-	}
-	byEnd := make([]Interval, len(byBeg))
-	copy(byEnd, byBeg)
-	for p := 0; p < np; p++ {
-		seg := byBeg[off[p]:off[p+1]]
-		sort.Slice(seg, func(i, j int) bool { return lessIvBeg(seg[i], seg[j]) })
-		seg = byEnd[off[p]:off[p+1]]
-		sort.Slice(seg, func(i, j int) bool { return lessIvEnd(seg[i], seg[j]) })
-	}
-	v.pairOff = off
-	v.pairByBeg = byBeg
-	v.pairByEnd = byEnd
-	v.pairSufMinBeg = sufMinBegPairs(off, byEnd)
 }
 
 func lessIvBeg(a, b Interval) bool {

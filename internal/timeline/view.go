@@ -2,7 +2,6 @@ package timeline
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -34,19 +33,13 @@ type View struct {
 	clip           bool
 	clipLo, clipHi float64
 
-	adjOnce      sync.Once
-	adjReady     atomic.Bool // set once ensureAdj has materialized
-	adjOff       []int32
-	adjByBeg     []DirContact
-	adjByEnd     []DirContact
-	adjSufMinBeg []float64
+	adjOnce  sync.Once
+	adjReady atomic.Bool // set once ensureAdj has materialized adj
+	adj      adjIndex
 
-	pairOnce      sync.Once
-	pairReady     atomic.Bool // set once ensurePairIndex has materialized
-	pairOff       []int32
-	pairByBeg     []Interval
-	pairByEnd     []Interval
-	pairSufMinBeg []float64
+	pairOnce  sync.Once
+	pairReady atomic.Bool // set once ensurePairIndex has materialized pairs
+	pairs     pairIndex
 
 	partnerOnce sync.Once
 	partnerOff  []int32
@@ -270,21 +263,29 @@ func windowKeeps(beg, end, a, b float64) bool {
 
 // --- index materialization ------------------------------------------------
 
-func (v *View) ensureAdj() {
+// ensureAdj materializes the view's adjacency half on first use. The
+// identity view builds it over the whole contact slice, or adopts the
+// only segment's half on a one-segment snapshot; a derived view filters
+// the identity view's half.
+func (v *View) ensureAdj() *adjIndex {
 	v.adjOnce.Do(func() {
 		defer v.adjReady.Store(true)
 		if v.isBase() {
-			v.buildBaseAdj()
+			tlMetrics.indexBuilds.Inc()
+			if segs := v.tl.segs; len(segs) == 1 {
+				v.adj = segs[0].adj
+			} else {
+				v.adj = buildAdj(v.tl.tr.Contacts, v.NumNodes())
+			}
 			return
 		}
 		tlMetrics.viewMats.Inc()
-		base := v.tl.all
-		base.ensureAdj()
-		n := len(base.adjOff) - 1
+		base := v.tl.all.ensureAdj()
+		n := len(base.off) - 1
 		off := make([]int32, n+1)
 		for u := 0; u < n; u++ {
 			cnt := int32(0)
-			for _, e := range base.adjByBeg[base.adjOff[u]:base.adjOff[u+1]] {
+			for _, e := range base.byBeg[base.off[u]:base.off[u+1]] {
 				if v.kept(int(e.CIdx)) {
 					cnt++
 				}
@@ -295,41 +296,46 @@ func (v *View) ensureAdj() {
 		byBeg := make([]DirContact, 0, total)
 		byEnd := make([]DirContact, 0, total)
 		for u := 0; u < n; u++ {
-			for _, e := range base.adjByBeg[base.adjOff[u]:base.adjOff[u+1]] {
+			for _, e := range base.byBeg[base.off[u]:base.off[u+1]] {
 				if v.kept(int(e.CIdx)) {
 					e.Beg, e.End = v.clamp(e.Beg, e.End)
 					byBeg = append(byBeg, e)
 				}
 			}
-			for _, e := range base.adjByEnd[base.adjOff[u]:base.adjOff[u+1]] {
+			for _, e := range base.byEnd[base.off[u]:base.off[u+1]] {
 				if v.kept(int(e.CIdx)) {
 					e.Beg, e.End = v.clamp(e.Beg, e.End)
 					byEnd = append(byEnd, e)
 				}
 			}
 		}
-		v.adjOff = off
-		v.adjByBeg = byBeg
-		v.adjByEnd = byEnd
-		v.adjSufMinBeg = sufMinBegAdj(off, byEnd)
+		v.adj = adjIndex{off: off, byBeg: byBeg, byEnd: byEnd, sufMinBeg: sufMinBegAdj(off, byEnd)}
 	})
+	return &v.adj
 }
 
-func (v *View) ensurePairIndex() {
+// ensurePairIndex materializes the view's pair half on first use, like
+// ensureAdj. Derived views keep the identity view's keys, so every view
+// shares one pair-ID space.
+func (v *View) ensurePairIndex() *pairIndex {
 	v.pairOnce.Do(func() {
 		defer v.pairReady.Store(true)
 		if v.isBase() {
-			v.buildBasePairs()
+			tlMetrics.indexBuilds.Inc()
+			if segs := v.tl.segs; len(segs) == 1 {
+				v.pairs = segs[0].pairs
+			} else {
+				v.pairs = buildPairs(v.tl.tr.Contacts)
+			}
 			return
 		}
 		tlMetrics.viewMats.Inc()
-		base := v.tl.all
-		base.ensurePairIndex()
-		np := len(base.pairOff) - 1
+		base := v.tl.all.ensurePairIndex()
+		np := len(base.keys)
 		off := make([]int32, np+1)
 		for p := 0; p < np; p++ {
 			cnt := int32(0)
-			for _, iv := range base.pairByBeg[base.pairOff[p]:base.pairOff[p+1]] {
+			for _, iv := range base.byBeg[base.off[p]:base.off[p+1]] {
 				if v.kept(int(iv.CIdx)) {
 					cnt++
 				}
@@ -340,24 +346,23 @@ func (v *View) ensurePairIndex() {
 		byBeg := make([]Interval, 0, total)
 		byEnd := make([]Interval, 0, total)
 		for p := 0; p < np; p++ {
-			for _, iv := range base.pairByBeg[base.pairOff[p]:base.pairOff[p+1]] {
+			for _, iv := range base.byBeg[base.off[p]:base.off[p+1]] {
 				if v.kept(int(iv.CIdx)) {
 					iv.Beg, iv.End = v.clamp(iv.Beg, iv.End)
 					byBeg = append(byBeg, iv)
 				}
 			}
-			for _, iv := range base.pairByEnd[base.pairOff[p]:base.pairOff[p+1]] {
+			for _, iv := range base.byEnd[base.off[p]:base.off[p+1]] {
 				if v.kept(int(iv.CIdx)) {
 					iv.Beg, iv.End = v.clamp(iv.Beg, iv.End)
 					byEnd = append(byEnd, iv)
 				}
 			}
 		}
-		v.pairOff = off
-		v.pairByBeg = byBeg
-		v.pairByEnd = byEnd
-		v.pairSufMinBeg = sufMinBegPairs(off, byEnd)
+		v.pairs = pairIndex{keys: base.keys, id: base.id, off: off, byBeg: byBeg, byEnd: byEnd,
+			sufMinBeg: sufMinBegPairs(off, byEnd)}
 	})
+	return &v.pairs
 }
 
 func (v *View) ensurePartners() {
@@ -367,17 +372,16 @@ func (v *View) ensurePartners() {
 		} else {
 			tlMetrics.viewMats.Inc()
 		}
-		tl := v.tl
-		tl.ensurePairs()
-		tr := tl.tr
+		pairs := v.tl.all.ensurePairIndex()
+		tr := v.tl.tr
 		n := tr.NumNodes()
-		seen := make([]bool, len(tl.pairA))
+		seen := make([]bool, len(pairs.keys))
 		lists := make([][]trace.NodeID, n)
 		for i, c := range tr.Contacts {
 			if !v.kept(i) {
 				continue
 			}
-			id := tl.pairID[PairKey(c.A, c.B)]
+			id := pairs.id[PairKey(c.A, c.B)]
 			if seen[id] {
 				continue
 			}
@@ -404,16 +408,16 @@ func (v *View) ensurePartners() {
 // by non-decreasing begin time (canonical (Beg, End, To) order on the
 // identity view). The slice is shared; callers must not modify it.
 func (v *View) OutgoingByBeg(u trace.NodeID) []DirContact {
-	v.ensureAdj()
-	return v.adjByBeg[v.adjOff[u]:v.adjOff[u+1]]
+	x := v.ensureAdj()
+	return x.byBeg[x.off[u]:x.off[u+1]]
 }
 
 // OutgoingByEnd returns the usable contact directions leaving u, sorted
 // by non-decreasing end time. The slice is shared; callers must not
 // modify it.
 func (v *View) OutgoingByEnd(u trace.NodeID) []DirContact {
-	v.ensureAdj()
-	return v.adjByEnd[v.adjOff[u]:v.adjOff[u+1]]
+	x := v.ensureAdj()
+	return x.byEnd[x.off[u]:x.off[u+1]]
 }
 
 // OutgoingAfter returns the usable contact directions leaving u that are
@@ -425,18 +429,16 @@ func (v *View) OutgoingByEnd(u trace.NodeID) []DirContact {
 // callers must not modify it.
 func (v *View) OutgoingAfter(u trace.NodeID, t float64) []DirContact {
 	tlMetrics.sliceQueries.Inc()
-	v.ensureAdj()
-	lo, hi := int(v.adjOff[u]), int(v.adjOff[u+1])
-	seg := v.adjByEnd[lo:hi]
-	i := sort.Search(len(seg), func(i int) bool { return seg[i].End >= t })
-	return seg[i:]
+	x := v.ensureAdj()
+	i, hi := x.tail(u, t)
+	return x.byEnd[i:hi]
 }
 
 // ForOutgoingAfter invokes yield with one or more end-sorted runs that
 // together contain exactly the usable contact directions leaving u with
 // End >= t. On a streaming base view whose adjacency is not yet
 // materialized the runs are the per-segment tails (one binary search
-// per sealed segment, no merged index ever built — the incremental
+// per sealed segment, no whole-trace index ever built — the incremental
 // engine's relaxation path); otherwise yield receives the single
 // materialized tail, exactly OutgoingAfter's slice. CIdx values are
 // local to the index the run came from; consumers that only read
@@ -449,18 +451,15 @@ func (v *View) ForOutgoingAfter(u trace.NodeID, t float64, yield func(run []DirC
 			if s.maxEnd < t {
 				continue
 			}
-			if run := s.outgoingAfter(u, t); len(run) > 0 {
-				yield(run)
+			if i, hi := s.adj.tail(u, t); i < hi {
+				yield(s.adj.byEnd[i:hi])
 			}
 		}
 		return
 	}
-	v.ensureAdj()
-	lo, hi := int(v.adjOff[u]), int(v.adjOff[u+1])
-	seg := v.adjByEnd[lo:hi]
-	i := sort.Search(len(seg), func(i int) bool { return seg[i].End >= t })
-	if i < len(seg) {
-		yield(seg[i:])
+	x := v.ensureAdj()
+	if i, hi := x.tail(u, t); i < hi {
+		yield(x.byEnd[i:hi])
 	}
 }
 
@@ -475,9 +474,9 @@ func (v *View) ForOutgoingAfter(u trace.NodeID, t float64, yield func(run []DirC
 // callers must not modify them.
 func (v *View) OutgoingIndex(u trace.NodeID) (byBeg, byEnd []DirContact, sufMinBeg []float64) {
 	tlMetrics.sliceQueries.Inc()
-	v.ensureAdj()
-	lo, hi := v.adjOff[u], v.adjOff[u+1]
-	return v.adjByBeg[lo:hi], v.adjByEnd[lo:hi], v.adjSufMinBeg[lo:hi]
+	x := v.ensureAdj()
+	lo, hi := x.off[u], x.off[u+1]
+	return x.byBeg[lo:hi], x.byEnd[lo:hi], x.sufMinBeg[lo:hi]
 }
 
 // Adjacency returns the view's packed adjacency wholesale: node u's
@@ -489,8 +488,8 @@ func (v *View) OutgoingIndex(u trace.NodeID) (byBeg, byEnd []DirContact, sufMinB
 // must not modify them.
 func (v *View) Adjacency() (off []int32, byBeg, byEnd []DirContact, sufMinBeg []float64) {
 	tlMetrics.sliceQueries.Inc()
-	v.ensureAdj()
-	return v.adjOff, v.adjByBeg, v.adjByEnd, v.adjSufMinBeg
+	x := v.ensureAdj()
+	return x.off, x.byBeg, x.byEnd, x.sufMinBeg
 }
 
 // Partners returns the devices u ever shares a contact with, ordered by
@@ -503,36 +502,26 @@ func (v *View) Partners(u trace.NodeID) []trace.NodeID {
 }
 
 // Meet returns the earliest time at or after t at which devices u and w
-// share a contact (i.e. a transfer between them can happen), or +Inf:
-// binary search for the first interval ending at or after t, whose
-// suffix-min begin bounds how early the meeting can start.
+// share a contact (i.e. a transfer between them can happen), or +Inf.
 func (v *View) Meet(u, w trace.NodeID, t float64) float64 {
 	tlMetrics.meets.Inc()
+	key := PairKey(u, w)
 	// Streaming snapshots answer straight off the sealed segments (one
-	// binary search each) until some consumer has paid for the merged
-	// canonical index, after which the single materialized search wins.
+	// binary search each) until some consumer has paid for the view's
+	// index, after which the single materialized search wins.
 	if segs := v.tl.segs; segs != nil && v.isBase() && !v.pairReady.Load() {
-		key := PairKey(u, w)
 		best := inf
 		for _, s := range segs {
-			if m := s.meet(key, t); m < best {
+			if s.maxEnd < t {
+				continue
+			}
+			if m := s.pairs.meet(key, t); m < best {
 				best = m
 			}
 		}
 		return best
 	}
-	v.ensurePairIndex()
-	id, ok := v.tl.pairID[PairKey(u, w)]
-	if !ok {
-		return inf
-	}
-	lo, hi := int(v.pairOff[id]), int(v.pairOff[id+1])
-	seg := v.pairByEnd[lo:hi]
-	i := sort.Search(len(seg), func(i int) bool { return seg[i].End >= t })
-	if i == len(seg) {
-		return inf
-	}
-	return math.Max(t, v.pairSufMinBeg[lo+i])
+	return v.ensurePairIndex().meet(key, t)
 }
 
 // NextContact returns the earliest time at or after t at which device u
@@ -542,32 +531,27 @@ func (v *View) NextContact(u trace.NodeID, t float64) float64 {
 	if segs := v.tl.segs; segs != nil && v.isBase() && !v.adjReady.Load() {
 		best := inf
 		for _, s := range segs {
-			if m := s.nextContact(u, t); m < best {
+			if s.maxEnd < t {
+				continue
+			}
+			if m := s.adj.next(u, t); m < best {
 				best = m
 			}
 		}
 		return best
 	}
-	v.ensureAdj()
-	lo, hi := int(v.adjOff[u]), int(v.adjOff[u+1])
-	seg := v.adjByEnd[lo:hi]
-	i := sort.Search(len(seg), func(i int) bool { return seg[i].End >= t })
-	if i == len(seg) {
-		return inf
-	}
-	return math.Max(t, v.adjSufMinBeg[lo+i])
+	return v.ensureAdj().next(u, t)
 }
 
 // PairIntervals returns pair p's meeting intervals sorted by begin time,
 // where p is a canonical pair ID in [0, Timeline.NumPairs()). The slice
 // is shared; callers must not modify it.
 func (v *View) PairIntervals(p int) []Interval {
-	v.ensurePairIndex()
-	return v.pairByBeg[v.pairOff[p]:v.pairOff[p+1]]
+	x := v.ensurePairIndex()
+	return x.byBeg[x.off[p]:x.off[p+1]]
 }
 
 // PairEndpoints returns the canonical endpoints (a < b) of pair ID p.
 func (v *View) PairEndpoints(p int) (a, b trace.NodeID) {
-	v.tl.ensurePairs()
-	return v.tl.pairA[p], v.tl.pairB[p]
+	return pairEnds(v.tl.all.ensurePairIndex().keys[p])
 }

@@ -111,13 +111,13 @@ func TestTimeWindowBoundaries(t *testing.T) {
 	tr := &Trace{
 		Start: 0, End: 1000, Kinds: make([]Kind, 2),
 		Contacts: []Contact{
-			{A: 0, B: 1, Beg: 0, End: 100},    // ends exactly at window start
-			{A: 0, B: 1, Beg: 100, End: 100},  // instantaneous at window start
-			{A: 0, B: 1, Beg: 150, End: 150},  // instantaneous inside
-			{A: 0, B: 1, Beg: 300, End: 300},  // instantaneous at window end
-			{A: 0, B: 1, Beg: 300, End: 400},  // begins exactly at window end
-			{A: 0, B: 1, Beg: 500, End: 500},  // instantaneous outside
-			{A: 0, B: 1, Beg: 90, End: 110},   // straddles window start
+			{A: 0, B: 1, Beg: 0, End: 100},   // ends exactly at window start
+			{A: 0, B: 1, Beg: 100, End: 100}, // instantaneous at window start
+			{A: 0, B: 1, Beg: 150, End: 150}, // instantaneous inside
+			{A: 0, B: 1, Beg: 300, End: 300}, // instantaneous at window end
+			{A: 0, B: 1, Beg: 300, End: 400}, // begins exactly at window end
+			{A: 0, B: 1, Beg: 500, End: 500}, // instantaneous outside
+			{A: 0, B: 1, Beg: 90, End: 110},  // straddles window start
 		},
 	}
 	got := tr.TimeWindow(100, 300)
