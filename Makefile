@@ -26,10 +26,11 @@ test:
 race:
 	$(GO) test -race -timeout 20m ./...
 
-# Scaling probes only (engine + Figure 9-style aggregation at 1 and 4
-# workers).
+# The aggregation hot path: the Figure 9-style aggregation end to end
+# and the per-pair curve kernel under it, five runs each on one core.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineCompute$$|BenchmarkDelayCDFAggregation$$' -cpu 1,4 -benchtime 3x .
+	$(GO) test -run '^$$' -bench 'BenchmarkDelayCDFAggregation$$' -cpu 1 -count 5 .
+	$(GO) test -run '^$$' -bench 'BenchmarkSuccessCurve$$' -cpu 1 -count 5 ./internal/core
 
 # Full benchmark record (BENCH_<N>.json) for the perf trajectory.
 bench-json:
@@ -62,12 +63,14 @@ quick-equivalence:
 # Short fuzz run of every fuzz target, one line each (-fuzz takes a
 # single target): the trace parser never panics, rejects non-finite
 # times, and round-trips what it accepts; the Pareto set keeps its
-# staircase invariant; the HTTP query surface never answers 500 or
-# non-JSON, echoes trace IDs safely, and leaks no request.
+# staircase invariant; the one-pass success curve matches the
+# per-budget loop bit for bit; the HTTP query surface never answers
+# 500 or non-JSON, echoes trace IDs safely, and leaks no request.
 # FuzzAppendMerge runs in stream-check.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime 10s
 	$(GO) test ./internal/core -run FuzzParetoSet -fuzz FuzzParetoSet -fuzztime 10s
+	$(GO) test ./internal/core -run FuzzSuccessCurve -fuzz FuzzSuccessCurve -fuzztime 10s
 	$(GO) test ./internal/server -run FuzzServeQuery -fuzz FuzzServeQuery -fuzztime 10s
 
 # Resumability gate: a second run against the same -checkpoint

@@ -90,12 +90,13 @@ func BenchmarkEngineCompute(b *testing.B) {
 }
 
 // BenchmarkDelayCDFAggregation measures the Figure 9-style aggregation
-// pipeline alone: per-pair frontier construction plus the exact
-// SuccessWithin integration over a log delay grid for every hop-bound
-// class. The study (trace generation + path engine) is built outside the
-// timer; each iteration drops the memo caches so the aggregation work is
-// actually redone. Run with -cpu 1,4 to measure the worker fan-out — the
-// aggregation inherits GOMAXPROCS through core.Options.Workers == 0.
+// pipeline alone: the per-study archive sort, per-pair frontier
+// construction, and the exact one-pass success-curve integration over a
+// log delay grid for every hop-bound class. The study (trace generation
+// + path engine) is built outside the timer; each iteration drops the
+// caches (sorted archives included) so the aggregation work is actually
+// redone. The aggregation inherits GOMAXPROCS through
+// core.Options.Workers == 0.
 func BenchmarkDelayCDFAggregation(b *testing.B) {
 	tr := benchTrace(b)
 	st, err := analysis.NewStudy(tr, core.Options{})

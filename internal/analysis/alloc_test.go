@@ -38,9 +38,10 @@ func TestDelayCDFAggregationAllocs(t *testing.T) {
 			t.Fatal("wrong CDF count")
 		}
 	})
-	// Measured ~57 for 4 bounds (frontier slice + arena + curve sum +
-	// normalized output + cache insert per bound, plus the cleared maps
-	// and the flat buffer header). 3 per pair would already be ~600.
+	// Measured ~72 for 4 bounds (frontier slice + scratch and compact
+	// arenas + curve sum + normalized output + cache insert per bound,
+	// plus the sorted archives, the cleared maps and the flat buffer
+	// header). 3 per pair would already be ~600.
 	t.Logf("allocs per run: %.0f", allocs)
 	const budget = 96
 	if allocs > budget {

@@ -28,9 +28,11 @@
 package analysis
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"opportunet/internal/core"
@@ -76,8 +78,13 @@ type Study struct {
 // other.
 type studyState struct {
 	mu        sync.Mutex
-	frontiers map[int][]core.Frontier // hop bound -> frontier per pair
-	curves    map[curveKey][]float64  // (hop bound, grid, window) -> summed SuccessWithin
+	frontiers map[int][]core.Frontier // memo bound -> frontier per pair
+	curves    map[curveKey][]float64  // (memo bound, grid, window) -> summed success measure
+
+	// sorted holds every pair's archive sorted by (LD, EA, Hop), pair i
+	// at sorted[pairOff[i]:pairOff[i+1]] (Delta == 0 only). Built on
+	// the first frontier miss, dropped by ClearCaches.
+	sorted []core.Entry
 
 	// pairOff is the arena offset table for per-pair frontier building
 	// (Delta == 0 only): pair i's slot is arena[pairOff[i]:pairOff[i+1]],
@@ -225,18 +232,62 @@ func (s *Study) pairOffsets() []int {
 	return st.pairOff
 }
 
+// memoBound maps a hop bound to the key its frontiers and curves are
+// memoized under. No archived summary uses more than Result.Hops
+// contacts, so every bound k >= Hops selects exactly the unbounded
+// class, as k <= 0 does; keying each such k apart would keep a copy of
+// the unbounded frontiers per bound. Outputs keep the requested bound.
+func (s *Study) memoBound(hopBound int) int {
+	if hopBound <= 0 || hopBound >= s.Result.Hops {
+		return Unbounded
+	}
+	return hopBound
+}
+
+// sortedArchives returns (sorting on first use) every analyzed pair's
+// archive sorted by (LD, EA, Hop), in one arena laid out by
+// pairOffsets, for the Delta == 0 model. The arena is as large as all
+// archives together and lives until ClearCaches. A sort cancelled
+// through the study context returns ok false and is never kept.
+func (s *Study) sortedArchives() (sorted []core.Entry, ok bool) {
+	st := s.state
+	st.mu.Lock()
+	sorted = st.sorted
+	st.mu.Unlock()
+	if sorted != nil {
+		return sorted, true
+	}
+	off := s.pairOffsets()
+	sorted = make([]core.Entry, off[len(s.Pairs)])
+	if err := par.DoCtx(s.ctx, len(s.Pairs), s.workers, func(i int) {
+		p := s.Pairs[i]
+		s.Result.SortedArchiveInto(p[0], p[1], sorted[off[i]:off[i+1]])
+	}); err != nil {
+		return nil, false
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.sorted == nil {
+		st.sorted = sorted
+	}
+	return st.sorted, true
+}
+
 // frontiersFor returns (building and caching on first use) the frontier
-// of every analyzed pair under the given hop bound. For the Delta == 0
-// model all pairs build into one flat arena (two allocations per hop
-// bound — the frontier slice and the arena — instead of filter, sort
-// and output allocations per pair); each pair owns a disjoint,
-// capacity-capped slot, so the parallel build stays race-free and
-// byte-identical at every worker count. It is safe for concurrent use;
+// of every analyzed pair under the given hop bound, memoized under
+// memoBound. For the Delta == 0 model every pair's archive is sorted
+// once per study (sortedArchives); each bound's frontiers are then a
+// filter-and-sweep of it into an archive-sized scratch arena, compacted
+// into an exact-size one (compactFrontiers): three allocations per hop
+// bound with the frontier slice. Each pair owns a disjoint slot, so the
+// parallel build stays race-free and byte-identical at every worker
+// count. It is safe for concurrent use;
 // when two goroutines race on an uncached bound, both build the same
 // deterministic value and one copy wins. When the study's context is
 // cancelled mid-build, the incomplete slice is returned uncached —
 // Err() tells callers to discard it.
 func (s *Study) frontiersFor(hopBound int) []core.Frontier {
+	hopBound = s.memoBound(hopBound)
 	st := s.state
 	st.mu.Lock()
 	if fs, ok := st.frontiers[hopBound]; ok {
@@ -249,11 +300,14 @@ func (s *Study) frontiersFor(hopBound int) []core.Frontier {
 	fs := make([]core.Frontier, len(s.Pairs))
 	var build func(i int)
 	if s.Result.Delta == 0 {
+		sorted, ok := s.sortedArchives()
+		if !ok {
+			return fs
+		}
 		off := s.pairOffsets()
-		arena := make([]core.Entry, off[len(s.Pairs)])
+		scratch := make([]core.Entry, off[len(s.Pairs)])
 		build = func(i int) {
-			p := s.Pairs[i]
-			fs[i] = s.Result.FrontierInto(p[0], p[1], hopBound, arena[off[i]:off[i+1]])
+			fs[i] = core.FrontierFromSorted(sorted[off[i]:off[i+1]], hopBound, scratch[off[i]:off[i+1]])
 		}
 	} else {
 		build = func(i int) {
@@ -264,6 +318,9 @@ func (s *Study) frontiersFor(hopBound int) []core.Frontier {
 	if err := par.DoCtx(s.ctx, len(s.Pairs), s.workers, build); err != nil {
 		return fs
 	}
+	if s.Result.Delta == 0 {
+		compactFrontiers(fs)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if prev, ok := st.frontiers[hopBound]; ok {
@@ -273,15 +330,36 @@ func (s *Study) frontiersFor(hopBound int) []core.Frontier {
 	return fs
 }
 
-// ClearCaches drops the memoized frontiers and success curves. Results
-// are unaffected — the caches rebuild on demand. Exposed for releasing
-// memory after a study has been mined, and for benchmarks that need to
-// time the aggregation work itself.
+// compactFrontiers moves frontiers swept into archive-sized slots into
+// one arena of exactly their total length, each capacity-capped: the
+// memo keeps a bound's frontiers for the study's life, and they fill
+// only a fraction of the archive (1–41% on the quick datasets).
+func compactFrontiers(fs []core.Frontier) {
+	n := 0
+	for _, f := range fs {
+		n += len(f.Entries)
+	}
+	arena := make([]core.Entry, 0, n)
+	for i, f := range fs {
+		if len(f.Entries) == 0 {
+			continue
+		}
+		start := len(arena)
+		arena = append(arena, f.Entries...)
+		fs[i].Entries = arena[start:len(arena):len(arena)]
+	}
+}
+
+// ClearCaches drops the memoized frontiers, the sorted archives and the
+// success curves. Results are unaffected — the caches rebuild on
+// demand. Exposed for releasing memory after a study has been mined,
+// and for benchmarks that need to time the aggregation work itself.
 func (s *Study) ClearCaches() {
 	st := s.state
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.frontiers = make(map[int][]core.Frontier)
+	st.sorted = nil
 	st.curves = make(map[curveKey][]float64)
 }
 
@@ -330,24 +408,51 @@ func putCurveBuf(buf []float64) {
 	curveBufPool.Put(&buf)
 }
 
+// curveScratch lends one pooled integration buffer to every curve-cache
+// miss of a call, taking it from the pool on the first miss only: a
+// multi-bound aggregation cycles one buffer through its bounds instead
+// of through the pool per bound, and a fully warm call takes none.
+// Every miss of one call integrates the same pairs × grid.
+type curveScratch struct{ buf []float64 }
+
+func (c *curveScratch) get(need int) []float64 {
+	if c.buf == nil {
+		c.buf = getCurveBuf(need)
+	} else {
+		clear(c.buf) // cancelled integrations must read zeros
+	}
+	return c.buf
+}
+
+func (c *curveScratch) release() {
+	if c.buf != nil {
+		putCurveBuf(c.buf)
+	}
+}
+
 // successCurve returns, for each budget in grid, the sum over all pairs
 // of the SuccessWithin measure on window [a, b] — the unnormalized
 // success curve every diameter and CDF computation integrates. Curves
-// are cached per (hop bound, grid, window), so Diameter, DiameterAtDelay,
-// DiameterVsEpsilon and DelayCDFs share one integration per hop bound
-// instead of each redoing the O(pairs · grid) work. The per-pair
-// integrations fan out across workers; the reduction runs in pair order,
-// so the curve is byte-identical at every worker count. Callers must not
-// modify the returned slice.
+// are cached per (memo bound, grid, window), so Diameter,
+// DiameterAtDelay, DiameterVsEpsilon and DelayCDFs share one
+// integration per hop bound. Callers must not modify the returned
+// slice.
 func (s *Study) successCurve(hopBound int, grid []float64, a, b float64) []float64 {
-	return s.successCurveBuf(hopBound, grid, a, b, nil)
+	var sc curveScratch
+	defer sc.release()
+	return s.successCurveBuf(hopBound, grid, a, b, &sc)
 }
 
-// successCurveBuf is successCurve with a caller-provided integration
-// buffer (≥ pairs × grid capacity): multi-bound aggregations acquire
-// the flat buffer once and reuse it for every hop bound instead of
-// cycling it through the pool per bound. nil falls back to the pool.
-func (s *Study) successCurveBuf(hopBound int, grid []float64, a, b float64, buf []float64) []float64 {
+// successCurveBuf is successCurve drawing its pairs × grid integration
+// buffer from sc. On a cache miss each pair's curve is one
+// core.Frontier.SuccessCurve pass over the ascending budgets: an
+// unsorted grid is integrated as a stably sorted copy and scattered
+// back through the permutation, so the cache key stays the grid as
+// given. The per-pair integrations fan out across workers; the
+// reduction runs in pair order, so the curve is byte-identical at every
+// worker count and to a per-budget SuccessWithin loop.
+func (s *Study) successCurveBuf(hopBound int, grid []float64, a, b float64, sc *curveScratch) []float64 {
+	hopBound = s.memoBound(hopBound)
 	key := makeCurveKey(hopBound, grid, a, b)
 	st := s.state
 	st.mu.Lock()
@@ -360,27 +465,35 @@ func (s *Study) successCurveBuf(hopBound int, grid []float64, a, b float64, buf 
 	anMetrics.curveMisses.Inc()
 
 	fs := s.frontiersFor(hopBound)
-	ng := len(grid)
-	need := len(fs) * ng
-	flat := buf
-	if cap(flat) < need {
-		flat = getCurveBuf(need)
-		defer putCurveBuf(flat)
-	} else {
-		flat = flat[:need]
-		clear(flat) // cancelled integrations must read zeros
-	}
-	cancelled := par.DoCtx(s.ctx, len(fs), s.workers, func(i int) {
-		row := flat[i*ng : (i+1)*ng]
-		for gi, d := range grid {
-			row[gi] = fs[i].SuccessWithin(d, a, b)
+	budgets, perm := grid, []int(nil)
+	if !slices.IsSorted(grid) {
+		perm = make([]int, len(grid))
+		for i := range perm {
+			perm[i] = i
 		}
+		slices.SortStableFunc(perm, func(i, j int) int { return cmp.Compare(grid[i], grid[j]) })
+		budgets = make([]float64, len(grid))
+		for j, i := range perm {
+			budgets[j] = grid[i]
+		}
+	}
+	ng := len(grid)
+	flat := sc.get(len(fs) * ng)
+	cancelled := par.DoCtx(s.ctx, len(fs), s.workers, func(i int) {
+		fs[i].SuccessCurve(budgets, a, b, flat[i*ng:(i+1)*ng])
 	}) != nil
 	sum := make([]float64, ng)
 	for i := 0; i < len(fs); i++ {
 		row := flat[i*ng : (i+1)*ng]
 		for gi, v := range row {
 			sum[gi] += v
+		}
+	}
+	if perm != nil {
+		sorted := sum
+		sum = make([]float64, ng)
+		for j, i := range perm {
+			sum[i] = sorted[j]
 		}
 	}
 	if cancelled {
@@ -401,11 +514,10 @@ func (s *Study) successCurveBuf(hopBound int, grid []float64, a, b float64, buf 
 // successProbs returns the normalized success curve: successCurve
 // divided by pairs · window. The returned slice is freshly allocated.
 func (s *Study) successProbs(hopBound int, grid []float64, a, b float64) []float64 {
-	return s.successProbsBuf(hopBound, grid, a, b, nil)
+	return s.normalize(s.successCurve(hopBound, grid, a, b), a, b)
 }
 
-func (s *Study) successProbsBuf(hopBound int, grid []float64, a, b float64, buf []float64) []float64 {
-	sum := s.successCurveBuf(hopBound, grid, a, b, buf)
+func (s *Study) normalize(sum []float64, a, b float64) []float64 {
 	out := make([]float64, len(sum))
 	norm := float64(len(s.Pairs)) * (b - a)
 	for i, v := range sum {
@@ -454,11 +566,11 @@ func (s *Study) DelayCDFs(hopBounds []int, grid []float64) []DelayCDF {
 // contacts after b.
 func (s *Study) DelayCDFsWindow(hopBounds []int, grid []float64, a, b float64) []DelayCDF {
 	// One flat integration buffer serves every hop bound of the call.
-	buf := getCurveBuf(len(s.Pairs) * len(grid))
-	defer putCurveBuf(buf)
+	var sc curveScratch
+	defer sc.release()
 	out := make([]DelayCDF, len(hopBounds))
 	for i, k := range hopBounds {
-		out[i] = DelayCDF{HopBound: k, Grid: grid, Success: s.successProbsBuf(k, grid, a, b, buf)}
+		out[i] = DelayCDF{HopBound: k, Grid: grid, Success: s.normalize(s.successCurveBuf(k, grid, a, b, &sc), a, b)}
 	}
 	return out
 }

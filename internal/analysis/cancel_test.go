@@ -66,6 +66,9 @@ func TestStudyCancelledAggregationsNotCached(t *testing.T) {
 	}
 	st.DelayCDFs([]int{1, 3}, grid) // incomplete, must not be cached
 	st.Diameter(0.05, grid)
+	if st.state.sorted != nil {
+		t.Fatal("a cancelled archive sort was kept")
+	}
 
 	ctx.cancelled.Store(false)
 	if st.Err() != nil {

@@ -7,8 +7,9 @@ import (
 // anMetrics are the aggregation layer's observability handles, nil
 // (free no-ops) until a command wires a registry. The two caches they
 // watch — the per-hop-bound frontier memo and the success-curve
-// cache — are what turns a diameter sweep from O(hops × pairs × grid)
-// repeated integrations into one integration per hop bound; their hit
+// cache — give a diameter sweep one integration per distinct hop bound
+// (bounds at or above the fixpoint share the unbounded one), each a
+// single pass over every pair's frontier for the whole grid; their hit
 // ratios are the first thing to check when an aggregation is slow.
 var anMetrics struct {
 	curveHits    *obs.Counter // analysis_curve_cache_hits_total

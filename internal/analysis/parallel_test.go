@@ -166,6 +166,9 @@ func TestClearCaches(t *testing.T) {
 	grid := stats.LogSpace(10, tr.Duration(), 8)
 	before := st.DelayCDFs([]int{1, Unbounded}, grid)
 	st.ClearCaches()
+	if st.state.sorted != nil {
+		t.Fatal("ClearCaches kept the sorted archives")
+	}
 	after := st.DelayCDFs([]int{1, Unbounded}, grid)
 	if !reflect.DeepEqual(before, after) {
 		t.Fatal("results changed after ClearCaches")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opportunet/internal/rng"
+	"opportunet/internal/stats"
 	"opportunet/internal/trace"
 )
 
@@ -90,6 +91,25 @@ func BenchmarkSuccessWithin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.SuccessWithin(600, 0, 10000)
+	}
+}
+
+// BenchmarkSuccessCurve integrates BenchmarkSuccessWithin's frontier
+// over a 40-point log grid in one pass: the per-pair step of every
+// delay CDF and diameter aggregation.
+func BenchmarkSuccessCurve(b *testing.B) {
+	tr := coreBenchTrace(b)
+	res, err := Compute(tr, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := res.Frontier(0, 1, 0)
+	grid := stats.LogSpace(10, 10000, 40)
+	out := make([]float64, len(grid))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.SuccessCurve(grid, 0, 10000, out)
 	}
 }
 

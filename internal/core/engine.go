@@ -647,66 +647,56 @@ func (g *rowEngine) extend3D(u trace.NodeID, f []Entry, hop int32) {
 // not a data error. It is safe for concurrent use: a Result is immutable
 // once Compute returns, and the returned Frontier is freshly built.
 func (r *Result) Frontier(src, dst trace.NodeID, maxHop int) Frontier {
-	if int(src) < 0 || int(src) >= r.NumNodes || int(dst) < 0 || int(dst) >= r.NumNodes {
-		panic(fmt.Sprintf("core: Frontier(%d, %d) out of range (nodes=%d)", src, dst, r.NumNodes))
-	}
-	row := r.srcIndex[src]
-	if row < 0 {
-		panic(fmt.Sprintf("core: source %d was not computed", src))
-	}
-	bound := int32(math.MaxInt32)
-	if maxHop > 0 {
-		bound = int32(maxHop)
-	}
-	entries := r.pairEntries(row, int(dst))
+	entries := r.archive("Frontier", src, dst)
+	bound := hopBound(maxHop)
 	if r.Delta > 0 {
 		return Frontier{Entries: buildFrontier3D(entries, bound), Delta: r.Delta}.Indexed()
 	}
 	return Frontier{Entries: buildFrontier2D(entries, bound), Delta: 0}
 }
 
-// PairArchiveLen returns the number of archived path summaries for the
-// pair (src, dst): an upper bound on the size of any frontier of the
-// pair, which is what FrontierInto callers size their slots by. Panics
-// on the same conditions as Frontier.
-func (r *Result) PairArchiveLen(src, dst trace.NodeID) int {
-	if int(src) < 0 || int(src) >= r.NumNodes || int(dst) < 0 || int(dst) >= r.NumNodes {
-		panic(fmt.Sprintf("core: PairArchiveLen(%d, %d) out of range (nodes=%d)", src, dst, r.NumNodes))
+// hopBound maps a maxHop argument to the archive filter bound.
+func hopBound(maxHop int) int32 {
+	if maxHop <= 0 || maxHop >= math.MaxInt32 {
+		return math.MaxInt32
 	}
-	row := r.srcIndex[src]
-	if row < 0 {
-		panic(fmt.Sprintf("core: source %d was not computed", src))
-	}
-	return len(r.pairEntries(row, int(dst)))
+	return int32(maxHop)
 }
 
-// FrontierInto is Frontier building into caller-owned memory: for the
-// Delta == 0 model the frontier is filtered, sorted and compacted
-// entirely inside slot — which must have length at least
-// PairArchiveLen(src, dst) — and the returned Frontier aliases it, with
-// no allocation. Aggregations building one frontier per pair carve
-// their slots out of a single arena; serving layers reuse a pooled
-// slot per request. The caller owns slot's lifetime: the Frontier is
-// valid only while the slot's contents are left alone. For Delta > 0
-// frontiers (hop-aware dominance plus the evaluation index) it falls
-// back to the allocating Frontier path and slot is untouched. The
-// entries produced are identical to Frontier's in either case.
-func (r *Result) FrontierInto(src, dst trace.NodeID, maxHop int, slot []Entry) Frontier {
-	if r.Delta > 0 {
-		return r.Frontier(src, dst, maxHop)
-	}
+// archive returns the append-ordered archive of (src, dst), panicking
+// on the conditions Frontier documents; op names the caller.
+func (r *Result) archive(op string, src, dst trace.NodeID) []Entry {
 	if int(src) < 0 || int(src) >= r.NumNodes || int(dst) < 0 || int(dst) >= r.NumNodes {
-		panic(fmt.Sprintf("core: FrontierInto(%d, %d) out of range (nodes=%d)", src, dst, r.NumNodes))
+		panic(fmt.Sprintf("core: %s(%d, %d) out of range (nodes=%d)", op, src, dst, r.NumNodes))
 	}
 	row := r.srcIndex[src]
 	if row < 0 {
 		panic(fmt.Sprintf("core: source %d was not computed", src))
 	}
-	bound := int32(math.MaxInt32)
-	if maxHop > 0 {
-		bound = int32(maxHop)
-	}
-	return Frontier{Entries: buildFrontier2DInto(r.pairEntries(row, int(dst)), bound, slot)}
+	return r.pairEntries(row, int(dst))
+}
+
+// PairArchiveLen returns the number of archived path summaries for the
+// pair (src, dst): an upper bound on the size of any frontier of the
+// pair, which is what SortedArchiveInto and FrontierFromSorted callers
+// size their slots by. Panics on the same conditions as Frontier.
+func (r *Result) PairArchiveLen(src, dst trace.NodeID) int {
+	return len(r.archive("PairArchiveLen", src, dst))
+}
+
+// SortedArchiveInto copies the archive of (src, dst) into slot, which
+// must have length at least PairArchiveLen(src, dst), sorts it by (LD,
+// EA, Hop) and returns the sorted prefix (capacity capped at its
+// length). It allocates nothing. Paired with FrontierFromSorted it
+// builds a pair's Delta == 0 frontier for any number of hop bounds
+// from one sort: aggregations sort every pair once into an arena and
+// sweep it per bound. Panics on the same conditions as Frontier.
+func (r *Result) SortedArchiveInto(src, dst trace.NodeID, slot []Entry) []Entry {
+	entries := r.archive("SortedArchiveInto", src, dst)
+	s := slot[:len(entries):len(entries)]
+	copy(s, entries)
+	sortEntries(s)
+	return s
 }
 
 // Sources returns the source devices the result was computed for.

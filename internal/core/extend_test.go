@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"testing"
 
 	"opportunet/internal/rng"
@@ -10,18 +9,10 @@ import (
 	"opportunet/internal/trace"
 )
 
-// sortEntries orders entries canonically for set comparison.
-func sortEntries(es []Entry) []Entry {
+// sortedCopy orders a copy of entries canonically for set comparison.
+func sortedCopy(es []Entry) []Entry {
 	out := append([]Entry(nil), es...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LD != out[j].LD {
-			return out[i].LD < out[j].LD
-		}
-		if out[i].EA != out[j].EA {
-			return out[i].EA < out[j].EA
-		}
-		return out[i].Hop < out[j].Hop
-	})
+	sortEntries(out)
 	return out
 }
 
@@ -57,7 +48,7 @@ func checkSameFrontiers(t *testing.T, got, want *Result) {
 				if want.Delta > 0 {
 					// 3D frontiers are a unique Pareto set but only
 					// LD-sorted; compare order-insensitively.
-					ge, we = sortEntries(fg.Entries), sortEntries(fw.Entries)
+					ge, we = sortedCopy(fg.Entries), sortedCopy(fw.Entries)
 				} else {
 					// 2D staircases are fully canonical including the
 					// per-point minimal hop; compare exactly.
@@ -378,5 +369,31 @@ func TestExtendBadSource(t *testing.T) {
 	tr := mk(2, trace.Contact{A: 0, B: 1, Beg: 1, End: 2})
 	if _, err := eng.Extend(timeline.New(tr).All()); err == nil {
 		t.Fatal("out-of-range source should error")
+	}
+}
+
+// TestResultHopsBoundsArchive pins what lets aggregations treat every
+// hop bound k >= Result.Hops as unbounded: no archived summary uses
+// more than Hops contacts, for ComputeView at the fixpoint and under
+// a MaxHops cap, and for Engine.Extend.
+func TestResultHopsBoundsArchive(t *testing.T) {
+	check := func(label string, res *Result) {
+		t.Helper()
+		for ri := range res.rows {
+			for _, e := range res.rows[ri].entries {
+				if int(e.Hop) > res.Hops {
+					t.Fatalf("%s: archived %+v has Hop > Hops = %d", label, e, res.Hops)
+				}
+			}
+		}
+	}
+	r := rng.New(9051)
+	for rep := 0; rep < 6; rep++ {
+		n := 4 + r.Intn(7)
+		tr := randomTrace(r, n, 80, 100, rep%2 == 0)
+		for _, opt := range []Options{{}, {MaxHops: 2}, {TransmitDelay: 1.5}} {
+			check("ComputeView", mustCompute(t, tr, opt))
+			check("Extend", feedIncrementally(t, tr, opt, r, 1+r.Intn(16)))
+		}
 	}
 }

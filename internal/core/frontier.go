@@ -177,47 +177,93 @@ func (f Frontier) Delay(t float64) float64 {
 // the per-pair success probability of paper §4.1 for a uniformly random
 // starting time. For Delta == 0 the measure is exact (the delay profile
 // is piecewise max(0, EA_i − t)); for Delta > 0 it is estimated on a
-// dense grid.
+// dense grid. It is SuccessCurve with a single budget.
 func (f Frontier) SuccessWithin(d, a, b float64) float64 {
-	if b <= a || len(f.Entries) == 0 || d < 0 {
-		return 0
+	budgets := [1]float64{d}
+	var out [1]float64
+	f.SuccessCurve(budgets[:], a, b, out[:])
+	return out[0]
+}
+
+// SuccessCurve sets out[g] to SuccessWithin(budgets[g], a, b) for every
+// budget, walking the frontier once instead of once per budget. budgets
+// must be in ascending order (NaNs first, as slices.Sort leaves them)
+// and out at least as long. Each out[g] receives the same float
+// additions, in the same order, as a separate SuccessWithin call, so
+// the curve is bit-identical to the per-budget loop.
+//
+// For Delta == 0, an entry's segment (left, segEnd] contributes
+// segEnd − max(left, EA − d): nothing while EA − d ≥ segEnd, all of
+// segEnd − left once EA − d ≤ left, and a partial measure in between.
+// Both thresholds are monotone in d, so two binary searches per entry
+// find them and only the partial band evaluates the max. For Delta > 0
+// the 2048 sampled delays are computed once and each is counted at the
+// first budget it meets; a prefix sum turns the counts into hits.
+func (f Frontier) SuccessCurve(budgets []float64, a, b float64, out []float64) {
+	out = out[:len(budgets)]
+	clear(out)
+	if b <= a || len(f.Entries) == 0 {
+		return
 	}
+	// Negative budgets (and NaNs, sorted before them) measure nothing.
+	g0 := sort.Search(len(budgets), func(g int) bool { return budgets[g] >= 0 })
+	bs, acc := budgets[g0:], out[g0:]
 	if f.Delta != 0 {
-		return f.successWithinDelta(d, a, b)
+		f.successCurveDelta(bs, a, b, acc)
+		return
 	}
-	total := 0.0
 	left := a
 	for _, e := range f.Entries {
 		if e.LD <= left {
 			continue
 		}
-		segEnd := math.Min(e.LD, b)
-		lo := math.Max(left, e.EA-d)
-		if segEnd > lo {
-			total += segEnd - lo
+		segEnd := min(e.LD, b)
+		lo := sort.Search(len(bs), func(g int) bool { return segEnd > max(left, e.EA-bs[g]) })
+		full := lo + sort.Search(len(bs)-lo, func(g int) bool { return e.EA-bs[lo+g] <= left })
+		part := acc[lo:full]
+		for g, d := range bs[lo:full] {
+			part[g] += segEnd - max(left, e.EA-d)
+		}
+		// From full on, max(left, EA − d) is left: the constant term.
+		whole := segEnd - left
+		rest := acc[full:]
+		for g := range rest {
+			rest[g] += whole
 		}
 		left = e.LD
 		if left >= b {
 			break
 		}
 	}
-	return total
 }
 
 // successWithinDeltaSamples controls the grid resolution of the sampled
 // success measure used when Delta > 0.
 const successWithinDeltaSamples = 2048
 
-func (f Frontier) successWithinDelta(d, a, b float64) float64 {
+// successCurveDelta is SuccessCurve's sampled Delta > 0 measure over
+// non-negative ascending budgets, into a zeroed acc. A sample counts
+// when its start time is delivered at all (a finite Del) within the
+// budget: with an infinite budget an unreachable start time must still
+// miss.
+func (f Frontier) successCurveDelta(bs []float64, a, b float64, acc []float64) {
 	step := (b - a) / successWithinDeltaSamples
-	hits := 0
 	for i := 0; i < successWithinDeltaSamples; i++ {
 		t := a + (float64(i)+0.5)*step
-		if f.Del(t)-t <= d {
-			hits++
+		del := f.Del(t)
+		if math.IsInf(del, 1) {
+			continue
+		}
+		dl := del - t
+		if g := sort.Search(len(bs), func(g int) bool { return dl <= bs[g] }); g < len(bs) {
+			acc[g]++
 		}
 	}
-	return float64(hits) * step
+	hits := 0.0
+	for g, c := range acc {
+		hits += c
+		acc[g] = hits * step
+	}
 }
 
 // MinDelay returns the smallest optimal delay over starting times in
@@ -355,40 +401,30 @@ func (f *frontier3D) add(e Entry) bool {
 
 // buildFrontier2D extracts the Pareto frontier of all entries with
 // Hop <= maxHop, for the Delta == 0 model. It returns entries sorted by
-// increasing LD and EA, in one allocation (the filtered scratch the
-// frontier compacts into).
+// increasing LD and EA, in one allocation: the matching entries are
+// filtered into it, sorted, and swept in place.
 func buildFrontier2D(entries []Entry, maxHop int32) []Entry {
 	if len(entries) == 0 {
 		return nil
 	}
-	out := buildFrontier2DInto(entries, maxHop, make([]Entry, len(entries)))
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// buildFrontier2DInto is buildFrontier2D working entirely inside slot,
-// which must have length at least len(entries): the matching entries
-// are filtered into the slot's prefix, sorted in place, and a
-// right-to-left dominance sweep compacts the survivors into a suffix
-// of the sorted run. The returned frontier aliases slot (capped at the
-// sweep's bounds so callers cannot append over adjacent arena slots);
-// nothing is allocated. Entry ties under the sort key are entire-value
-// equal (Entry has no other fields), so the unstable sort cannot
-// perturb results.
-func buildFrontier2DInto(entries []Entry, maxHop int32, slot []Entry) []Entry {
-	m := 0
+	s := make([]Entry, 0, len(entries))
 	for _, e := range entries {
 		if e.Hop <= maxHop {
-			slot[m] = e
-			m++
+			s = append(s, e)
 		}
 	}
-	if m == 0 {
+	if len(s) == 0 {
 		return nil
 	}
-	s := slot[:m]
+	sortEntries(s)
+	return sweep2D(s, maxHop, s)
+}
+
+// sortEntries sorts entries by (LD, EA, Hop). The key is the whole
+// Entry value, so ties are entire-value equal and the unstable sort
+// cannot perturb results; filtering a sorted run by hop keeps it
+// sorted.
+func sortEntries(s []Entry) {
 	slices.SortFunc(s, func(a, b Entry) int {
 		switch {
 		case a.LD < b.LD:
@@ -403,26 +439,35 @@ func buildFrontier2DInto(entries []Entry, maxHop int32, slot []Entry) []Entry {
 			return int(a.Hop - b.Hop)
 		}
 	})
-	// Right-to-left sweep keeping entries whose EA is a new strict
-	// minimum — exactly condition (4) of the paper. Within an equal-LD
-	// group the sweep sees EA in decreasing order, so each improvement
-	// replaces the previously kept entry of that group; likewise an
-	// equal (LD, EA) duplicate with a smaller hop count replaces the
-	// larger one. Survivors accumulate right-to-left at s[w:m], which
-	// is already LD-ascending — no reversal pass. The write index never
-	// catches the read index: after processing the k rightmost entries
-	// at most k survive, so w-1 >= i always (equality is a
-	// self-assignment).
+}
+
+// sweep2D compacts the entries of sorted (ordered by sortEntries) with
+// Hop <= maxHop into their Pareto staircase, written right-aligned into
+// slot[:len(sorted)]; slot may be sorted itself. The result aliases slot
+// with its capacity capped at the sweep's bounds, so callers cannot
+// append over an adjacent arena slot, and nothing is allocated.
+//
+// The right-to-left sweep keeps entries whose EA is a new strict
+// minimum — exactly condition (4) of the paper. Within an equal-LD
+// group the sweep sees EA in decreasing order, so each improvement
+// replaces the previously kept entry of that group; likewise an equal
+// (LD, EA) duplicate with a smaller hop count replaces the larger one.
+// Survivors accumulate right-to-left, already LD-ascending — no
+// reversal pass. In place, the write index never catches the read
+// index: after reading the k rightmost entries at most k survive, so
+// w-1 >= i always (equality is a self-assignment).
+func sweep2D(sorted []Entry, maxHop int32, slot []Entry) []Entry {
+	m := len(sorted)
 	w := m
 	bestEA := math.Inf(1)
 	for i := m - 1; i >= 0; i-- {
-		e := s[i]
-		if e.EA > bestEA {
+		e := sorted[i]
+		if e.Hop > maxHop || e.EA > bestEA {
 			continue
 		}
-		if w < m && s[w].LD == e.LD {
-			if e.EA <= s[w].EA {
-				s[w] = e
+		if w < m && slot[w].LD == e.LD {
+			if e.EA <= slot[w].EA {
+				slot[w] = e
 				bestEA = e.EA
 			}
 			continue
@@ -431,10 +476,23 @@ func buildFrontier2DInto(entries []Entry, maxHop int32, slot []Entry) []Entry {
 			continue // same EA, smaller LD: dominated
 		}
 		w--
-		s[w] = e
+		slot[w] = e
 		bestEA = e.EA
 	}
-	return s[w:m:m]
+	if w == m {
+		return nil
+	}
+	return slot[w:m:m]
+}
+
+// FrontierFromSorted builds the Delta == 0 frontier of the class of
+// paths using at most maxHop contacts (maxHop <= 0 means unbounded)
+// from a pair's archive sorted by Result.SortedArchiveInto. It works
+// entirely inside slot, which must be at least as long as sorted, and
+// the returned Frontier aliases it; sorted is only read, so one sorted
+// archive serves every hop bound. The entries equal Result.Frontier's.
+func FrontierFromSorted(sorted []Entry, maxHop int, slot []Entry) Frontier {
+	return Frontier{Entries: sweep2D(sorted, hopBound(maxHop), slot)}
 }
 
 // buildFrontier3D extracts the hop-aware Pareto frontier of all entries

@@ -8,13 +8,14 @@ import (
 	"opportunet/internal/trace"
 )
 
-// TestFrontierIntoMatchesFrontier cross-validates the arena builder
-// against the allocating path on random traces: for every pair and a
-// spread of hop bounds, FrontierInto must produce exactly Frontier's
-// entries, and the returned slice must stay inside the pair's slot
-// with its capacity capped (so an appending caller cannot spill into a
+// TestFrontierFromSortedMatchesFrontier cross-validates the arena
+// builder against the allocating path on random traces: for every pair
+// and a spread of hop bounds, sweeping one sorted archive must produce
+// exactly Frontier's entries, the sorted archive must be left as it
+// was, and the returned slice must stay inside the pair's slot with
+// its capacity capped (so an appending caller cannot spill into a
 // neighboring arena slot).
-func TestFrontierIntoMatchesFrontier(t *testing.T) {
+func TestFrontierFromSortedMatchesFrontier(t *testing.T) {
 	r := rng.New(77)
 	err := quick.Check(func(seed uint64) bool {
 		n := 3 + r.Intn(8)
@@ -30,10 +31,12 @@ func TestFrontierIntoMatchesFrontier(t *testing.T) {
 				}
 				s, d := trace.NodeID(src), trace.NodeID(dst)
 				need := res.PairArchiveLen(s, d)
+				sorted := res.SortedArchiveInto(s, d, make([]Entry, need))
+				snapshot := append([]Entry(nil), sorted...)
 				slot := make([]Entry, need)
 				for _, bound := range []int{0, 1, 2, 3, res.Hops} {
 					want := res.Frontier(s, d, bound)
-					got := res.FrontierInto(s, d, bound, slot)
+					got := FrontierFromSorted(sorted, bound, slot)
 					if len(got.Entries) != len(want.Entries) {
 						t.Errorf("pair (%d,%d) bound %d: %d entries, want %d",
 							src, dst, bound, len(got.Entries), len(want.Entries))
@@ -51,6 +54,12 @@ func TestFrontierIntoMatchesFrontier(t *testing.T) {
 							src, dst, bound, cap(got.Entries), need)
 						return false
 					}
+					for i := range snapshot {
+						if sorted[i] != snapshot[i] {
+							t.Errorf("pair (%d,%d) bound %d: sweep wrote into the sorted archive", src, dst, bound)
+							return false
+						}
+					}
 				}
 			}
 		}
@@ -61,23 +70,26 @@ func TestFrontierIntoMatchesFrontier(t *testing.T) {
 	}
 }
 
-// TestFrontierIntoZeroAlloc pins the arena builder's contract: building
-// a frontier into a caller-owned slot allocates nothing.
-func TestFrontierIntoZeroAlloc(t *testing.T) {
+// TestFrontierFromSortedZeroAlloc pins the arena builders' contract:
+// sorting an archive into a caller-owned slot and sweeping a frontier
+// out of it allocate nothing.
+func TestFrontierFromSortedZeroAlloc(t *testing.T) {
 	r := rng.New(9)
 	tr := randomTrace(r, 8, 200, 100, false)
 	res, err := Compute(tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot := make([]Entry, res.PairArchiveLen(0, 1))
+	sorted := make([]Entry, res.PairArchiveLen(0, 1))
+	slot := make([]Entry, len(sorted))
 	allocs := testing.AllocsPerRun(1000, func() {
-		f := res.FrontierInto(0, 1, 0, slot)
+		res.SortedArchiveInto(0, 1, sorted)
+		f := FrontierFromSorted(sorted, 0, slot)
 		if f.Delta != 0 {
 			t.Fatal("unexpected delta")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("FrontierInto allocated %.1f times per call, want 0", allocs)
+		t.Fatalf("SortedArchiveInto + FrontierFromSorted allocated %.1f times per call, want 0", allocs)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"opportunet/internal/obs"
 	"opportunet/internal/randtemp"
 	"opportunet/internal/rng"
 	"opportunet/internal/trace"
@@ -569,5 +570,42 @@ func TestDiameterCoalescesIdenticalQueries(t *testing.T) {
 		} else if dr.Diameter != want.Diameter || dr.WorstRatio != want.WorstRatio {
 			t.Fatalf("query %d disagrees: %+v vs %+v", i, dr, want)
 		}
+	}
+}
+
+// TestDelayCDFHopsAboveFixpoint: hop bounds at or above the dataset's
+// fixpoint answer the unbounded curve bit for bit, echo the requested
+// bounds, and build no frontier set of their own.
+func TestDelayCDFHopsAboveFixpoint(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Wire(reg)
+	defer obs.Wire(nil)
+
+	ds := testDataset(t, LoadOptions{})
+	_, ts := newTestServer(t, Config{}, ds)
+	var ref delayCDFResponse
+	getJSON(t, ts.URL+"/v1/delaycdf?hops=0", http.StatusOK, &ref)
+	misses := reg.Counter("analysis_frontier_memo_misses_total", "").Value()
+
+	h := ds.Study.Result.Hops
+	hops := []int{h, h + 1, 1 << 20}
+	var got delayCDFResponse
+	getJSON(t, fmt.Sprintf("%s/v1/delaycdf?hops=%d,%d,%d", ts.URL, hops[0], hops[1], hops[2]), http.StatusOK, &got)
+	if got.Degraded != "" || len(got.Curves) != len(hops) {
+		t.Fatalf("response %+v: want %d exact curves", got, len(hops))
+	}
+	want := ref.Curves[0].Success
+	for i, c := range got.Curves {
+		if c.HopBound != hops[i] || len(c.Success) != len(want) {
+			t.Fatalf("curve %d: bound %d with %d values, want bound %d with %d", i, c.HopBound, len(c.Success), hops[i], len(want))
+		}
+		for g := range want {
+			if math.Float64bits(c.Success[g]) != math.Float64bits(want[g]) {
+				t.Fatalf("bound %d grid %d: %v, unbounded %v", c.HopBound, g, c.Success[g], want[g])
+			}
+		}
+	}
+	if now := reg.Counter("analysis_frontier_memo_misses_total", "").Value(); now != misses {
+		t.Fatalf("bounds at or above the fixpoint built frontiers: memo misses %d -> %d", misses, now)
 	}
 }
