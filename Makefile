@@ -65,13 +65,15 @@ quick-equivalence:
 # times, and round-trips what it accepts; the Pareto set keeps its
 # staircase invariant; the one-pass success curve matches the
 # per-budget loop bit for bit; the HTTP query surface never answers
-# 500 or non-JSON, echoes trace IDs safely, and leaks no request.
-# FuzzAppendMerge runs in stream-check.
+# 500 or non-JSON, echoes trace IDs safely, and leaks no request; the
+# reach envelopes and diameter brackets contain core's exact answers
+# on tiny traces, directed or not. FuzzAppendMerge runs in stream-check.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime 10s
 	$(GO) test ./internal/core -run FuzzParetoSet -fuzz FuzzParetoSet -fuzztime 10s
 	$(GO) test ./internal/core -run FuzzSuccessCurve -fuzz FuzzSuccessCurve -fuzztime 10s
 	$(GO) test ./internal/server -run FuzzServeQuery -fuzz FuzzServeQuery -fuzztime 10s
+	$(GO) test ./internal/reach -run FuzzReachBounds -fuzz FuzzReachBounds -fuzztime 10s
 
 # Resumability gate: a second run against the same -checkpoint
 # directory must skip every experiment and still emit byte-identical

@@ -39,7 +39,7 @@ func main() {
 	hops := flag.String("hops", "1,2,3,4,5,6", "comma-separated hop bounds to tabulate (0 = unbounded is always included)")
 	points := flag.Int("points", 30, "delay-grid resolution")
 	verify := flag.Int("verify", 0, "spot-check N random (source, time) points against an independent flooding simulation")
-	approx := flag.Bool("approx", false, "bounds-only mode: certified success-curve envelopes and diameter bounds from the reach tier, skipping the exhaustive engine entirely")
+	approx := flag.Bool("approx", false, "bounds-only mode: certified success-curve envelopes and diameter bounds from the reach tier instead of exact curves (the envelopes are derived from one exhaustive path computation, so this does not skip the exhaustive engine)")
 	workers := flag.Int("workers", 0, "worker goroutines for the path engine and aggregation (0 = all cores); results are identical at every count")
 	timeout := flag.Duration("timeout", 0, "cancel the computation after this long (0 = no limit)")
 	prof := cli.AddProfileFlags()
@@ -156,10 +156,12 @@ func main() {
 	}
 }
 
-// runApprox is the bounds-only mode: no exhaustive path computation at
-// all. The reach tier's envelopes bracket every success curve, and
-// DiameterBounds reports a certified interval for the (1−ε)-diameter —
-// exact whenever the interval collapses.
+// runApprox is the bounds-only mode: the reach tier's envelopes bracket
+// every success curve, and DiameterBounds reports a certified interval
+// for the (1−ε)-diameter — exact whenever the interval collapses. Each
+// envelope build runs the exhaustive engine once (reach reads its
+// slot-boundary delivery times off core's frontiers), so the mode does
+// not save that computation.
 func runApprox(tr *trace.Trace, bounds []int, grid []float64, eps float64, workers int, ctx context.Context, vb *cli.Verbosity) {
 	if err := tr.Validate(); err != nil {
 		fail(err)

@@ -277,15 +277,16 @@ func (s *Study) sortedArchives() (sorted []core.Entry, ok bool) {
 // of every analyzed pair under the given hop bound, memoized under
 // memoBound. For the Delta == 0 model every pair's archive is sorted
 // once per study (sortedArchives); each bound's frontiers are then a
-// filter-and-sweep of it into an archive-sized scratch arena, compacted
-// into an exact-size one (compactFrontiers): three allocations per hop
-// bound with the frontier slice. Each pair owns a disjoint slot, so the
-// parallel build stays race-free and byte-identical at every worker
-// count. It is safe for concurrent use;
+// filter-and-sweep of it into a pooled archive-sized scratch arena,
+// compacted into an exact-size one (compactFrontiers): two allocations
+// per hop bound with the frontier slice. Each pair owns a disjoint
+// slot, so the parallel build stays race-free and byte-identical at
+// every worker count. It is safe for concurrent use;
 // when two goroutines race on an uncached bound, both build the same
 // deterministic value and one copy wins. When the study's context is
 // cancelled mid-build, the incomplete slice is returned uncached —
-// Err() tells callers to discard it.
+// Err() tells callers to discard it — and its scratch is not pooled,
+// since those frontiers still alias it.
 func (s *Study) frontiersFor(hopBound int) []core.Frontier {
 	hopBound = s.memoBound(hopBound)
 	st := s.state
@@ -299,13 +300,14 @@ func (s *Study) frontiersFor(hopBound int) []core.Frontier {
 	anMetrics.memoMisses.Inc()
 	fs := make([]core.Frontier, len(s.Pairs))
 	var build func(i int)
+	var scratch []core.Entry
 	if s.Result.Delta == 0 {
 		sorted, ok := s.sortedArchives()
 		if !ok {
 			return fs
 		}
 		off := s.pairOffsets()
-		scratch := make([]core.Entry, off[len(s.Pairs)])
+		scratch = getFrontierScratch(off[len(s.Pairs)])
 		build = func(i int) {
 			fs[i] = core.FrontierFromSorted(sorted[off[i]:off[i+1]], hopBound, scratch[off[i]:off[i+1]])
 		}
@@ -320,6 +322,7 @@ func (s *Study) frontiersFor(hopBound int) []core.Frontier {
 	}
 	if s.Result.Delta == 0 {
 		compactFrontiers(fs)
+		putFrontierScratch(scratch)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -328,6 +331,23 @@ func (s *Study) frontiersFor(hopBound int) []core.Frontier {
 	}
 	st.frontiers[hopBound] = fs
 	return fs
+}
+
+// frontierScratchPool recycles frontiersFor's archive-sized sweep
+// arena across hop bounds and studies, as curveBufPool does for
+// integration buffers. sweep2D writes every slot entry before it reads
+// it, so a pooled arena needs no clearing.
+var frontierScratchPool sync.Pool
+
+func getFrontierScratch(need int) []core.Entry {
+	if p, _ := frontierScratchPool.Get().(*[]core.Entry); p != nil && cap(*p) >= need {
+		return (*p)[:need]
+	}
+	return make([]core.Entry, need)
+}
+
+func putFrontierScratch(buf []core.Entry) {
+	frontierScratchPool.Put(&buf)
 }
 
 // compactFrontiers moves frontiers swept into archive-sized slots into

@@ -1,17 +1,6 @@
 package reach
 
-import (
-	"context"
-	"fmt"
-	"time"
-)
-
-// refineHeadroom is the safety factor DiameterBoundsBudget applies when
-// deciding whether another refinement fits the remaining deadline: a
-// doubled slot count roughly doubles the sweep, so the next build is
-// only attempted when the deadline leaves at least this multiple of the
-// last completed build's duration.
-const refineHeadroom = 2.5
+import "fmt"
 
 // certSlack is the extra absolute margin (on normalized curves) by which
 // envelope values are padded before they participate in a certificate.
@@ -98,63 +87,24 @@ func (e *Engine) DiameterBounds(eps float64, grid []float64) (lo, hi int, err er
 	}
 }
 
-// DiameterBoundsBudget is DiameterBounds under a request deadline: it
-// answers from the warmest available build and escalates the slot
-// resolution only while ctx allows. A context that is already done, or
-// whose deadline is too close to fit the next (≈2×) sweep — predicted
-// from the last completed build's duration — stops the escalation and
-// returns the best bounds so far instead of failing. Budget pressure
-// therefore only costs tightness, never soundness: any returned
-// [lo, hi] brackets the exact diameter exactly as DiameterBounds' does.
-//
-// The only error cases are an invalid request and a done context with
-// no warm build for the grid to answer from (nothing sound can be said
-// without paying for a sweep the deadline no longer affords). Builds in
-// progress run under the engine's own context, so one expiring request
-// never cancels a sweep other requests will reuse. A nil ctx behaves
-// exactly like DiameterBounds.
-func (e *Engine) DiameterBoundsBudget(ctx context.Context, eps float64, grid []float64) (lo, hi int, err error) {
-	if ctx == nil {
-		return e.DiameterBounds(eps, grid)
-	}
+// WarmDiameterBounds brackets the (1−ε)-diameter like DiameterBounds,
+// but only from a completed build for this exact grid: it never builds
+// and never refines, so it costs one scan of the warm envelopes. ok is
+// false when no such build exists (or eps is outside [0, 1)); degraded
+// answers use it because a request that cannot afford the exact tier
+// cannot afford an envelope build either.
+func (e *Engine) WarmDiameterBounds(eps float64, grid []float64) (lo, hi int, ok bool) {
 	if eps < 0 || eps >= 1 {
-		return 0, -1, fmt.Errorf("reach: eps %v outside [0, 1)", eps)
+		return 0, -1, false
 	}
-	if len(grid) == 0 {
-		return 0, -1, fmt.Errorf("reach: empty delay grid")
+	e.mu.Lock()
+	bd := e.built
+	e.mu.Unlock()
+	if bd == nil || !bd.sameGrid(grid) {
+		return 0, -1, false
 	}
-	for {
-		e.mu.Lock()
-		var bd *build
-		var berr error
-		if e.built != nil && e.built.sameGrid(grid) {
-			bd = e.built // warm read: free even past the deadline
-		} else if ctx.Err() == nil {
-			bd, berr = e.ensure(grid)
-		} else {
-			berr = ctx.Err()
-		}
-		e.mu.Unlock()
-		if berr != nil {
-			return 0, -1, berr
-		}
-		lo, hi = bd.diameterBounds(eps, grid)
-		if lo == hi || !e.Certifiable(grid) {
-			return lo, hi, nil
-		}
-		if ctx.Err() != nil {
-			return lo, hi, nil
-		}
-		if dl, ok := ctx.Deadline(); ok {
-			need := time.Duration(refineHeadroom * float64(e.lastBuildNS.Load()))
-			if time.Until(dl) < need {
-				return lo, hi, nil
-			}
-		}
-		if !e.Refine() {
-			return lo, hi, nil
-		}
-	}
+	lo, hi = bd.diameterBounds(eps, grid)
+	return lo, hi, true
 }
 
 // diameterBounds scans hop bounds upward, certifying each as a definite

@@ -7,13 +7,11 @@ import (
 // reMetrics are the reach layer's observability handles, nil (free
 // no-ops) until a command wires a registry.
 var reMetrics struct {
-	builds      *obs.Counter // reach_builds_total
-	refines     *obs.Counter // reach_refines_total
-	relaxations *obs.Counter // reach_relaxations_total
-	events      *obs.Counter // reach_envelope_events_total
-	canReach    *obs.Counter // reach_canreach_queries_total
-	certPasses  *obs.Counter // reach_cert_passes_total
-	certFails   *obs.Counter // reach_cert_fails_total
+	builds     *obs.Counter // reach_builds_total
+	refines    *obs.Counter // reach_refines_total
+	events     *obs.Counter // reach_envelope_events_total
+	certPasses *obs.Counter // reach_cert_passes_total
+	certFails  *obs.Counter // reach_cert_fails_total
 }
 
 func init() {
@@ -22,12 +20,8 @@ func init() {
 			"envelope builds (slot sweeps) completed")
 		reMetrics.refines = r.Counter("reach_refines_total",
 			"slot-resolution doublings performed")
-		reMetrics.relaxations = r.Counter("reach_relaxations_total",
-			"layered temporal relaxations run")
 		reMetrics.events = r.Counter("reach_envelope_events_total",
 			"clamped-ramp events accumulated into envelopes")
-		reMetrics.canReach = r.Counter("reach_canreach_queries_total",
-			"CanReach point queries answered")
 		reMetrics.certPasses = r.Counter("reach_cert_passes_total",
 			"hop bounds certified as passing the (1-eps) criterion")
 		reMetrics.certFails = r.Counter("reach_cert_fails_total",

@@ -1,22 +1,22 @@
 // Package reach is the certified bounds tier over the exact space-time
-// path calculus: a temporal reachability engine in the spirit of
-// Whitbeck et al.'s temporal reachability graphs, computing cheap,
-// *certified* two-sided bounds on the paper's aggregate quantities
-// instead of exact per-pair delivery functions.
+// path calculus: cheap, *certified* two-sided envelopes of the paper's
+// aggregate success curves and (1−ε)-diameter, in the spirit of
+// Whitbeck et al.'s temporal reachability graphs, instead of exact
+// per-pair curves at every budget.
 //
 // The construction slices the observation window into S start-time
-// slots. At every slot boundary s_i the engine runs a hop-layered
-// temporal relaxation from each source — the min-plus composition of
-// per-δ reachability steps, each layer composing one more contact onto
-// the reachable set, with exact contact times — which yields the exact
-// optimal delivery time del_k(src → dst, s_i) for every hop bound k and
-// for unbounded relaying. Because del is non-decreasing in the starting
-// time, the two boundary values of a slot sandwich del everywhere inside
-// it, and the Lebesgue measure of successful starting times per slot is
-// bracketed by two closed forms. Summed over slots, pairs and sources,
-// those brackets become lower/upper envelopes of the success curve of
-// every hop class — exact wherever del is constant across a slot, with
-// slack only in the slots where del jumps.
+// slots. A build runs the exhaustive engine (core.ComputeView) once
+// from the internal devices and reads the exact optimal delivery time
+// del_k(src → dst, s_i) at every slot boundary s_i, for every hop bound
+// k and for unbounded relaying, off the pair's Pareto frontier of that
+// hop class: del_k(s_i) = max(s_i, EA) of the first frontier entry with
+// LD ≥ s_i. Because del is non-decreasing in the starting time, the two
+// boundary values of a slot sandwich del everywhere inside it, and the
+// Lebesgue measure of successful starting times per slot is bracketed
+// by two closed forms. Summed over slots, pairs and sources, those
+// brackets become lower/upper envelopes of the success curve of every
+// hop class — exact wherever del is constant across a slot, with slack
+// only in the slots where del jumps.
 //
 // On top of the envelopes the engine certifies diameter answers: a hop
 // bound k definitely passes the (1−ε) criterion when even the lower
@@ -32,9 +32,9 @@
 // a cap.
 //
 // Construction is sharded over sources with internal/par (results are
-// byte-identical at every worker count), scratch is pooled per the
-// internal/core allocation discipline, builds are ctx-cancellable, and
-// the layer is obs-instrumented.
+// byte-identical at every worker count), the derived core result and
+// frontier arenas live only for one build, builds are ctx-cancellable,
+// and the layer is obs-instrumented.
 package reach
 
 import (
@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"opportunet/internal/timeline"
 	"opportunet/internal/trace"
@@ -71,10 +70,10 @@ var inf = math.Inf(1)
 // Options parameterizes an Engine.
 type Options struct {
 	// MaxHops is the largest hop bound the engine keeps a separate
-	// reachability layer for; 0 selects the default (16). Queries for
+	// envelope class for; 0 selects the default (16). Queries for
 	// larger bounds are answered with sound but looser envelopes (the
 	// MaxHops lower envelope and the unbounded upper envelope). The
-	// unbounded layer is always exact regardless of MaxHops.
+	// unbounded class is always exact regardless of MaxHops.
 	MaxHops int
 	// Slots is the initial start-time slot count; 0 selects the default
 	// (64). More slots tighten the envelopes at proportional build cost.
@@ -84,8 +83,9 @@ type Options struct {
 	// Directed treats each contact as usable only in its recorded A→B
 	// orientation, mirroring core.Options.Directed.
 	Directed bool
-	// Workers shards the per-source relaxations; 0 selects GOMAXPROCS.
-	// Results are byte-identical at every worker count.
+	// Workers shards the core computation and the per-source slot
+	// sweeps; 0 selects GOMAXPROCS. Results are byte-identical at every
+	// worker count.
 	Workers int
 	// Ctx, when non-nil, cancels builds in progress.
 	Ctx context.Context
@@ -94,24 +94,16 @@ type Options struct {
 // Engine computes reachability envelopes over one timeline view. Methods
 // are safe for concurrent use (builds are serialized internally). The
 // envelope build is lazy: New is cheap, the first bounds query pays for
-// the slot sweep.
+// the exhaustive computation and the slot sweep. Between builds the
+// engine holds only the finished envelopes.
 type Engine struct {
 	view    *timeline.View
 	opt     Options
 	sources []trace.NodeID // internal devices, increasing
-	intIdx  []int32        // node → dense internal index, -1 for external
 	maxK    int
 
 	mu    sync.Mutex
 	built *build // finest completed build, nil until first query
-
-	// lastBuildNS is the wall-clock cost of the last completed envelope
-	// sweep; DiameterBoundsBudget uses it to predict whether another
-	// refinement fits a request deadline.
-	lastBuildNS atomic.Int64
-
-	inOnce    sync.Once
-	lastInEnd []float64 // node → last usable incoming contact end, -Inf if none
 }
 
 // HasBuild reports whether the engine already holds a completed build
@@ -123,34 +115,6 @@ func (e *Engine) HasBuild(grid []float64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.built != nil && e.built.sameGrid(grid)
-}
-
-// lastIn returns, per node, the largest end time over the contact
-// directions that can deliver to it (respecting Directed), or -Inf for a
-// node nothing can ever reach. The relaxation's scan cutoff rests on it:
-// any contact improving node w ends by lastIn[w], so begins by it too.
-func (e *Engine) lastIn() []float64 {
-	e.inOnce.Do(func() {
-		n := e.view.NumNodes()
-		li := make([]float64, n)
-		for i := range li {
-			li[i] = math.Inf(-1)
-		}
-		for u := 0; u < n; u++ {
-			byBeg, _, _ := e.view.OutgoingIndex(trace.NodeID(u))
-			for j := range byBeg {
-				ec := &byBeg[j]
-				if e.opt.Directed && !ec.Fwd {
-					continue
-				}
-				if ec.End > li[ec.To] {
-					li[ec.To] = ec.End
-				}
-			}
-		}
-		e.lastInEnd = li
-	})
-	return e.lastInEnd
 }
 
 // New prepares an engine over the view. The aggregation population is
@@ -173,18 +137,11 @@ func New(v *timeline.View, opt Options) (*Engine, error) {
 	if v.End() <= v.Start() {
 		return nil, fmt.Errorf("reach: trace %q has an empty observation window", v.Name())
 	}
-	intIdx := make([]int32, v.NumNodes())
-	for i := range intIdx {
-		intIdx[i] = -1
-	}
-	for i, u := range internal {
-		intIdx[u] = int32(i)
-	}
-	return &Engine{view: v, opt: opt, sources: internal, intIdx: intIdx, maxK: opt.MaxHops}, nil
+	return &Engine{view: v, opt: opt, sources: internal, maxK: opt.MaxHops}, nil
 }
 
-// MaxHops returns the largest hop bound with a dedicated reachability
-// layer.
+// MaxHops returns the largest hop bound with a dedicated envelope
+// class.
 func (e *Engine) MaxHops() int { return e.maxK }
 
 // Slots returns the slot resolution of the current build (the initial
@@ -196,26 +153,6 @@ func (e *Engine) Slots() int {
 		return e.built.slots
 	}
 	return e.opt.Slots
-}
-
-// CanReach reports whether a message created on src at time t can reach
-// dst within the delay budget, using any number of hops. The answer is
-// exact (it runs the layered relaxation from the actual starting time,
-// not a slot boundary) and agrees bit-for-bit with the exhaustive
-// engine's delivery function: both compute the same min/max compositions
-// of the same contact times.
-func (e *Engine) CanReach(src, dst trace.NodeID, t, delay float64) bool {
-	reMetrics.canReach.Inc()
-	if delay < 0 || int(src) < 0 || int(src) >= len(e.intIdx) || int(dst) < 0 || int(dst) >= len(e.intIdx) {
-		return false
-	}
-	if src == dst {
-		return true
-	}
-	sc := getScratch(e.view.NumNodes(), len(e.sources), e.maxK)
-	defer putScratch(sc)
-	sc.relax(e.view, src, t, 0, nil, e.opt.Directed, e.lastIn())
-	return sc.arrCur[dst]-t <= delay
 }
 
 // Certifiable reports whether the engine can possibly certify answers

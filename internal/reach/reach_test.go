@@ -50,94 +50,76 @@ func testTraces(t *testing.T) []*trace.Trace {
 // tier aggregates them.
 func exactCurves(t *testing.T, v *timeline.View, res *core.Result, maxK int, grid []float64) [][]float64 {
 	t.Helper()
-	internal := v.InternalNodes()
-	a, b := v.Start(), v.End()
-	norm := float64(len(internal)*(len(internal)-1)) * (b - a)
 	curves := make([][]float64, maxK+1)
 	for kIdx := 0; kIdx <= maxK; kIdx++ {
 		hop := kIdx + 1
 		if kIdx == maxK {
 			hop = unbounded
 		}
-		cur := make([]float64, len(grid))
-		for _, src := range internal {
-			for _, dst := range internal {
-				if src == dst {
-					continue
-				}
-				f := res.Frontier(src, dst, hop)
-				for i, d := range grid {
-					cur[i] += f.SuccessWithin(d, a, b)
-				}
-			}
-		}
-		for i := range cur {
-			cur[i] /= norm
-		}
-		curves[kIdx] = cur
+		curves[kIdx] = exactCurve(v, res, hop, grid)
 	}
 	return curves
 }
 
-func TestCanReachMatchesCore(t *testing.T) {
-	for ti, tr := range testTraces(t) {
-		v := timeline.New(tr).All()
-		res, err := core.ComputeView(v, core.Options{})
-		if err != nil {
-			t.Fatalf("trace %d: core: %v", ti, err)
-		}
-		eng, err := reach.New(v, reach.Options{})
-		if err != nil {
-			t.Fatalf("trace %d: reach: %v", ti, err)
-		}
-		internal := v.InternalNodes()
-		r := rng.New(uint64(ti) + 7)
-		for probe := 0; probe < 300; probe++ {
-			src := internal[r.Intn(len(internal))]
-			dst := internal[r.Intn(len(internal))]
+// exactCurve is one hop bound's normalized success curve on the grid.
+func exactCurve(v *timeline.View, res *core.Result, hop int, grid []float64) []float64 {
+	internal := v.InternalNodes()
+	a, b := v.Start(), v.End()
+	norm := float64(len(internal)*(len(internal)-1)) * (b - a)
+	cur := make([]float64, len(grid))
+	for _, src := range internal {
+		for _, dst := range internal {
 			if src == dst {
 				continue
 			}
-			t0 := r.Uniform(v.Start(), v.End())
-			delay := r.Uniform(0, (v.End()-v.Start())/2)
-			exact := res.Frontier(src, dst, unbounded).Delay(t0) <= delay
-			if got := eng.CanReach(src, dst, t0, delay); got != exact {
-				t.Fatalf("trace %d probe %d: CanReach(%d,%d,%v,%v) = %v, core says %v",
-					ti, probe, src, dst, t0, delay, got, exact)
+			f := res.Frontier(src, dst, hop)
+			for i, d := range grid {
+				cur[i] += f.SuccessWithin(d, a, b)
 			}
 		}
 	}
+	for i := range cur {
+		cur[i] /= norm
+	}
+	return cur
 }
+
+// testDirected are the contact orientations every property in this
+// file is exercised under: undirected (the paper's model) and directed,
+// where the envelopes must follow core's A→B-only semantics.
+var testDirected = []bool{false, true}
 
 func TestEnvelopeSandwich(t *testing.T) {
 	const maxK = 6
-	for _, workers := range testWorkers {
-		for ti, tr := range testTraces(t) {
-			v := timeline.New(tr).All()
-			res, err := core.ComputeView(v, core.Options{})
-			if err != nil {
-				t.Fatalf("trace %d: core: %v", ti, err)
-			}
-			grid := stats.LogSpace(60, v.Duration(), 25)
-			curves := exactCurves(t, v, res, maxK, grid)
-			eng, err := reach.New(v, reach.Options{MaxHops: maxK, Slots: 32, Workers: workers})
-			if err != nil {
-				t.Fatalf("trace %d: reach: %v", ti, err)
-			}
-			for kIdx := 0; kIdx <= maxK; kIdx++ {
-				hop := kIdx + 1
-				if kIdx == maxK {
-					hop = unbounded
-				}
-				lower, upper, err := eng.DeliveryBound(hop, grid)
+	for _, directed := range testDirected {
+		for _, workers := range testWorkers {
+			for ti, tr := range testTraces(t) {
+				v := timeline.New(tr).All()
+				res, err := core.ComputeView(v, core.Options{Directed: directed})
 				if err != nil {
-					t.Fatalf("trace %d hop %d: DeliveryBound: %v", ti, hop, err)
+					t.Fatalf("trace %d: core: %v", ti, err)
 				}
-				for i := range grid {
-					exact := curves[kIdx][i]
-					if lower[i] > exact+1e-9 || exact > upper[i]+1e-9 {
-						t.Fatalf("trace %d workers %d hop %d budget %v: envelope [%v, %v] misses exact %v",
-							ti, workers, hop, grid[i], lower[i], upper[i], exact)
+				grid := stats.LogSpace(60, v.Duration(), 25)
+				curves := exactCurves(t, v, res, maxK, grid)
+				eng, err := reach.New(v, reach.Options{MaxHops: maxK, Slots: 32, Directed: directed, Workers: workers})
+				if err != nil {
+					t.Fatalf("trace %d: reach: %v", ti, err)
+				}
+				for kIdx := 0; kIdx <= maxK; kIdx++ {
+					hop := kIdx + 1
+					if kIdx == maxK {
+						hop = unbounded
+					}
+					lower, upper, err := eng.DeliveryBound(hop, grid)
+					if err != nil {
+						t.Fatalf("trace %d hop %d: DeliveryBound: %v", ti, hop, err)
+					}
+					for i := range grid {
+						exact := curves[kIdx][i]
+						if lower[i] > exact+1e-9 || exact > upper[i]+1e-9 {
+							t.Fatalf("trace %d directed %v workers %d hop %d budget %v: envelope [%v, %v] misses exact %v",
+								ti, directed, workers, hop, grid[i], lower[i], upper[i], exact)
+						}
 					}
 				}
 			}
@@ -168,36 +150,46 @@ func exactDiameter(curves [][]float64, eps float64) int {
 
 func TestDiameterBoundsBracketExact(t *testing.T) {
 	const maxK = 8
-	for _, workers := range testWorkers {
-		for ti, tr := range testTraces(t) {
-			v := timeline.New(tr).All()
-			res, err := core.ComputeView(v, core.Options{})
-			if err != nil {
-				t.Fatalf("trace %d: core: %v", ti, err)
-			}
-			grid := stats.LogSpace(60, v.Duration(), 20)
-			curves := exactCurves(t, v, res, maxK, grid)
-			for _, eps := range []float64{0.01, 0.05, 0.2} {
-				eng, err := reach.New(v, reach.Options{MaxHops: maxK, Slots: 16, Workers: workers})
+	for _, directed := range testDirected {
+		for _, workers := range testWorkers {
+			for ti, tr := range testTraces(t) {
+				v := timeline.New(tr).All()
+				res, err := core.ComputeView(v, core.Options{Directed: directed})
 				if err != nil {
-					t.Fatalf("trace %d: reach: %v", ti, err)
+					t.Fatalf("trace %d: core: %v", ti, err)
 				}
-				lo, hi, err := eng.DiameterBounds(eps, grid)
-				if err != nil {
-					t.Fatalf("trace %d eps %v: DiameterBounds: %v", ti, eps, err)
-				}
-				exact := exactDiameter(curves, eps)
-				if exact > maxK {
-					// The exact decision needs hop bounds past the
-					// engine's layers; only the lower bound applies.
-					if lo > exact {
-						t.Fatalf("trace %d workers %d eps %v: lo %d > exact %d", ti, workers, eps, lo, exact)
+				grid := stats.LogSpace(60, v.Duration(), 20)
+				curves := exactCurves(t, v, res, maxK, grid)
+				for _, eps := range []float64{0.01, 0.05, 0.2} {
+					eng, err := reach.New(v, reach.Options{MaxHops: maxK, Slots: 16, Directed: directed, Workers: workers})
+					if err != nil {
+						t.Fatalf("trace %d: reach: %v", ti, err)
 					}
-					continue
-				}
-				if lo > exact || (hi != -1 && exact > hi) {
-					t.Fatalf("trace %d workers %d eps %v: bounds [%d, %d] miss exact %d",
-						ti, workers, eps, lo, hi, exact)
+					if _, _, ok := eng.WarmDiameterBounds(eps, grid); ok {
+						t.Fatalf("trace %d eps %v: warm bounds before any build", ti, eps)
+					}
+					lo, hi, err := eng.DiameterBounds(eps, grid)
+					if err != nil {
+						t.Fatalf("trace %d eps %v: DiameterBounds: %v", ti, eps, err)
+					}
+					if wlo, whi, ok := eng.WarmDiameterBounds(eps, grid); !ok || wlo != lo || whi != hi {
+						t.Fatalf("trace %d eps %v: warm bounds [%d, %d] ok=%v, DiameterBounds said [%d, %d]",
+							ti, eps, wlo, whi, ok, lo, hi)
+					}
+					exact := exactDiameter(curves, eps)
+					if exact > maxK {
+						// The exact decision needs hop bounds past the
+						// engine's classes; only the lower bound applies.
+						if lo > exact {
+							t.Fatalf("trace %d directed %v workers %d eps %v: lo %d > exact %d",
+								ti, directed, workers, eps, lo, exact)
+						}
+						continue
+					}
+					if lo > exact || (hi != -1 && exact > hi) {
+						t.Fatalf("trace %d directed %v workers %d eps %v: bounds [%d, %d] miss exact %d",
+							ti, directed, workers, eps, lo, hi, exact)
+					}
 				}
 			}
 		}

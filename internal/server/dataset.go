@@ -133,9 +133,11 @@ func LoadDataset(tr *trace.Trace, lo LoadOptions) (*Dataset, error) {
 	if !lo.SkipPrewarm && ds.Reach != nil {
 		// Build the envelopes and certified diameter bounds for the
 		// default grid now, so deadline-busting queries degrade to a warm
-		// read instead of a cold build nobody can wait for. An
-		// uncertifiable upper side comes back as -1 (WarmHi stays
-		// "unknown"); the serving layer substitutes the fixpoint ceiling.
+		// read instead of a cold build nobody can wait for. The build
+		// runs its own exhaustive computation from the internal devices;
+		// only the envelopes outlive it. An uncertifiable upper side
+		// comes back as -1 (WarmHi stays "unknown"); the serving layer
+		// substitutes the fixpoint ceiling.
 		grid := ds.Grid(ds.DefaultPoints)
 		if blo, bhi, err := ds.Reach.DiameterBounds(ds.DefaultEps, grid); err == nil {
 			ds.WarmLo, ds.WarmHi = blo, bhi

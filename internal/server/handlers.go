@@ -343,7 +343,7 @@ func (s *Server) handleDiameter(ctx context.Context, ds *Dataset, q *query) (any
 	key := queryKey("diameter", ds.Name, formatFloat(q.eps), strconv.Itoa(len(grid)))
 	return s.flights.do(ctx, q.tr, key, func() (any, error) {
 		if s.adm.saturated() {
-			if resp, ok := s.diameterBounds(ctx, ds, q.tr, q.eps, grid, "shed"); ok {
+			if resp, ok := s.diameterBounds(ds, q.tr, q.eps, grid, "shed"); ok {
 				return resp, nil
 			}
 		}
@@ -351,7 +351,7 @@ func (s *Server) handleDiameter(ctx context.Context, ds *Dataset, q *query) (any
 		k, worst := st.Diameter(q.eps, grid)
 		if err := st.Err(); err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
-				if resp, ok := s.diameterBounds(ctx, ds, q.tr, q.eps, grid, "deadline"); ok {
+				if resp, ok := s.diameterBounds(ds, q.tr, q.eps, grid, "deadline"); ok {
 					return resp, nil
 				}
 			}
@@ -368,18 +368,18 @@ func (s *Server) handleDiameter(ctx context.Context, ds *Dataset, q *query) (any
 // diameterBounds assembles a degraded bounds-only diameter answer from
 // the reach tier, or reports that none is available: no engine, or no
 // warm envelope build for the grid. Like cdfBounds it never pays for a
-// build — a fresh grid's envelopes cost several times its exact
-// integration, and building them would evict the prewarmed default
-// grid's envelopes that deadline-busting queries rely on. An
+// build or a refinement — a fresh grid's envelopes cost several times
+// its exact integration, and building them would evict the prewarmed
+// default grid's envelopes that deadline-busting queries rely on. An
 // uncertified upper side falls back to the archive's fixpoint hop
 // count — paths longer than the longest optimal path do not exist, so
 // it is a sound (if loose) certificate.
-func (s *Server) diameterBounds(ctx context.Context, ds *Dataset, tc *obs.Trace, eps float64, grid []float64, reason string) (*diameterResponse, bool) {
-	if ds.Reach == nil || !ds.Reach.HasBuild(grid) {
+func (s *Server) diameterBounds(ds *Dataset, tc *obs.Trace, eps float64, grid []float64, reason string) (*diameterResponse, bool) {
+	if ds.Reach == nil {
 		return nil, false
 	}
-	lo, hi, err := ds.Reach.DiameterBoundsBudget(ctx, eps, grid)
-	if err != nil {
+	lo, hi, ok := ds.Reach.WarmDiameterBounds(eps, grid)
+	if !ok {
 		return nil, false
 	}
 	if hi < 0 {

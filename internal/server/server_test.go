@@ -228,7 +228,7 @@ func TestFreshGridDiameterBuildsNoEnvelopes(t *testing.T) {
 	if dr.Degraded != "" || dr.Points != fresh {
 		t.Fatalf("fresh-grid diameter %+v: want an exact answer on %d points", dr, fresh)
 	}
-	if _, ok := s.diameterBounds(context.Background(), ds, nil, ds.DefaultEps, ds.Grid(fresh), "shed"); ok {
+	if _, ok := s.diameterBounds(ds, nil, ds.DefaultEps, ds.Grid(fresh), "shed"); ok {
 		t.Fatal("degraded answer on a grid without a warm build")
 	}
 	if ds.Reach.HasBuild(ds.Grid(fresh)) || !ds.Reach.HasBuild(def) {
@@ -242,6 +242,46 @@ func TestFreshGridDiameterBuildsNoEnvelopes(t *testing.T) {
 	}
 	if dr := val.(*diameterResponse); dr.Degraded != "bounds-only" {
 		t.Fatalf("degraded response %+v: want bounds-only", dr)
+	}
+}
+
+// TestShedDiameterReadsWarmEnvelopesOnly: a shed-mode diameter answers
+// from the warm envelope build as it stands and never refines it. The
+// only build here is the one a DeliveryBound query left on the default
+// grid; refining it would rebuild the envelopes at twice the slots
+// inside the request, on a server that is shedding because it is out
+// of capacity.
+func TestShedDiameterReadsWarmEnvelopesOnly(t *testing.T) {
+	ds := testDataset(t, LoadOptions{SkipPrewarm: true})
+	s, _ := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 1, QueueWait: time.Minute}, ds)
+	grid := ds.Grid(ds.DefaultPoints)
+	if _, _, err := ds.Reach.DeliveryBound(0, grid); err != nil {
+		t.Fatal(err)
+	}
+	slots := ds.Reach.Slots()
+
+	// Saturate admission: the only slot held, one request parked behind it.
+	if err := s.adm.acquire(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan error, 1)
+	go func() { queued <- s.adm.acquire(context.Background(), nil) }()
+	waitQueued(t, s.adm, 1)
+	q := &query{endpoint: "diameter", eps: ds.DefaultEps, points: ds.DefaultPoints}
+	val, err := s.handleDiameter(context.Background(), ds, q)
+	s.adm.release() // admits the parked request
+	if qerr := <-queued; qerr != nil {
+		t.Fatalf("queued acquire: %v", qerr)
+	}
+	s.adm.release()
+	if err != nil {
+		t.Fatalf("shed diameter: %v", err)
+	}
+	if dr := val.(*diameterResponse); dr.Degraded != "bounds-only" || dr.Reason != "shed" {
+		t.Fatalf("shed diameter %+v: want bounds-only/shed", dr)
+	}
+	if got := ds.Reach.Slots(); got != slots {
+		t.Fatalf("shed diameter rebuilt the envelopes: %d slots, warm build had %d", got, slots)
 	}
 }
 
