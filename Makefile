@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race bench bench-json bench-smoke profile quick-equivalence fuzz-smoke checkpoint-idempotence obs-smoke stream-check server-smoke loadgen-smoke
+.PHONY: check build vet fmt test race bench bench-json bench-smoke profile quick-equivalence full-check fuzz-smoke checkpoint-idempotence obs-smoke stream-check server-smoke loadgen-smoke
 
 check: build vet fmt race
 
@@ -26,11 +26,14 @@ test:
 race:
 	$(GO) test -race -timeout 20m ./...
 
-# The aggregation hot path: the Figure 9-style aggregation end to end
-# and the per-pair curve kernel under it, five runs each on one core.
+# The aggregation hot path (the Figure 9-style aggregation end to end
+# and the per-pair curve kernel under it) and the quick forwarding
+# experiment, whose cost is epidemic flooding: five runs each on one
+# core.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDelayCDFAggregation$$' -cpu 1 -count 5 .
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccessCurve$$' -cpu 1 -count 5 ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkForwarding$$' -cpu 1 -count 5 .
 
 # Full benchmark record (BENCH_<N>.json) for the perf trajectory.
 bench-json:
@@ -60,20 +63,33 @@ quick-equivalence:
 	cmp /tmp/opportunet_w1.txt /tmp/opportunet_w8.txt
 	@echo "quick suite byte-identical at workers 1, 2, 8"
 
+# Full-mode pin: runs the named experiments (EXPS, default every one)
+# at paper scale and compares each output byte for byte with its
+# section of the committed full_results.txt. Every experiment takes
+# about a minute on 2 cores but peaks near 7 GiB of memory, as the
+# full-size datasets stay cached; CI checks forwarding and ttlsweep.
+full-check:
+	$(GO) run ./scripts/fullcheck $(EXPS)
+
 # Short fuzz run of every fuzz target, one line each (-fuzz takes a
 # single target): the trace parser never panics, rejects non-finite
 # times, and round-trips what it accepts; the Pareto set keeps its
 # staircase invariant; the one-pass success curve matches the
-# per-budget loop bit for bit; the HTTP query surface never answers
-# 500 or non-JSON, echoes trace IDs safely, and leaks no request; the
-# reach envelopes and diameter brackets contain core's exact answers
-# on tiny traces, directed or not. FuzzAppendMerge runs in stream-check.
+# per-budget loop bit for bit; core's hop-bounded and unbounded
+# frontiers match the flood oracle's rows; the HTTP query surface never
+# answers 500 or non-JSON, echoes trace IDs safely, and leaks no
+# request; the reach envelopes and diameter brackets contain core's
+# exact answers on tiny traces, directed or not; the changed-set flood
+# rounds match the dense Bellman-Ford bit for bit. FuzzAppendMerge runs
+# in stream-check.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime 10s
 	$(GO) test ./internal/core -run FuzzParetoSet -fuzz FuzzParetoSet -fuzztime 10s
 	$(GO) test ./internal/core -run FuzzSuccessCurve -fuzz FuzzSuccessCurve -fuzztime 10s
+	$(GO) test ./internal/core -run FuzzComputeVsFlood -fuzz FuzzComputeVsFlood -fuzztime 10s
 	$(GO) test ./internal/server -run FuzzServeQuery -fuzz FuzzServeQuery -fuzztime 10s
 	$(GO) test ./internal/reach -run FuzzReachBounds -fuzz FuzzReachBounds -fuzztime 10s
+	$(GO) test ./internal/flood -run FuzzFloodByHops -fuzz FuzzFloodByHops -fuzztime 10s
 
 # Resumability gate: a second run against the same -checkpoint
 # directory must skip every experiment and still emit byte-identical

@@ -4,6 +4,10 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"opportunet/internal/flood"
+	"opportunet/internal/timeline"
+	"opportunet/internal/trace"
 )
 
 // FuzzParetoSet drives the incremental frontier with arbitrary summary
@@ -84,5 +88,74 @@ func FuzzSuccessCurve(f *testing.F) {
 		fr.Delta = 0.25 + float64(delta)/4
 		checkCurveBits(t, fr, budgets, a, b)
 		checkCurveBits(t, fr.Indexed(), budgets, a, b)
+	})
+}
+
+// FuzzComputeVsFlood checks the profile engine against the flood oracle
+// on fuzzed tiny traces (2–8 devices, at most 40 contacts), directed or
+// not, with TransmitDelay 0 or positive. From every source, at start
+// times on and between the contact boundaries, Frontier(src, dst,
+// k).Del(t0) must equal row k of EarliestDeliveryByHops for every hop
+// bound k from 1 to Hops+1, and the unbounded frontier must equal row
+// Hops+1, within 1e-9. The input layout is data[0] → device count,
+// data[1] → an extra start time, then four bytes per contact:
+// endpoints, begin time and duration.
+func FuzzComputeVsFlood(f *testing.F) {
+	f.Add([]byte{2, 5, 0, 1, 0, 10, 1, 2, 20, 10, 2, 3, 25, 15}, false, uint8(0))
+	f.Add([]byte{6, 30, 0, 2, 0, 9, 2, 1, 20, 1, 1, 3, 40, 7, 3, 4, 8, 60, 4, 5, 100, 3, 5, 0, 200, 30, 0, 5, 10, 0}, true, uint8(9))
+	f.Add([]byte{7, 140, 0, 6, 50, 50, 6, 1, 50, 0, 1, 2, 50, 0, 2, 3, 140, 0, 3, 0, 250, 5, 0, 6, 50, 50}, false, uint8(200))
+	f.Fuzz(func(t *testing.T, data []byte, directed bool, delay uint8) {
+		if len(data) < 2 {
+			return
+		}
+		n := 2 + int(data[0])%7
+		tr := &trace.Trace{Name: "fuzz", Start: 0, End: 320, Kinds: make([]trace.Kind, n)}
+		probes := []float64{float64(data[1]) - 16}
+		for i := 2; i+3 < len(data) && len(tr.Contacts) < 40; i += 4 {
+			a := trace.NodeID(int(data[i]) % n)
+			b := trace.NodeID(int(data[i+1]) % n)
+			if a == b {
+				b = (a + 1) % trace.NodeID(n)
+			}
+			beg := float64(data[i+2])
+			end := beg + float64(data[i+3]%64)
+			tr.Contacts = append(tr.Contacts, trace.Contact{A: a, B: b, Beg: beg, End: end})
+			probes = append(probes, beg, end, end+0.5)
+		}
+		var delta float64
+		if delay > 0 {
+			delta = float64(delay) / 8
+		}
+		v := timeline.New(tr).All()
+		res, err := ComputeView(v, Options{Directed: directed, TransmitDelay: delta, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl := flood.NewView(v, flood.Options{Directed: directed, TransmitDelay: delta})
+		top := res.Hops + 1
+		for src := trace.NodeID(0); int(src) < n; src++ {
+			rows := make([][][]float64, len(probes))
+			for i, t0 := range probes {
+				rows[i] = fl.EarliestDeliveryByHops(src, t0, top)
+			}
+			for dst := trace.NodeID(0); int(dst) < n; dst++ {
+				if dst == src {
+					continue
+				}
+				for k := 0; k <= top; k++ {
+					fr := res.Frontier(src, dst, k)
+					row := k
+					if k == 0 {
+						row = top
+					}
+					for i, t0 := range probes {
+						got, want := fr.Del(t0), rows[i][row][dst]
+						if math.IsInf(want, 1) != math.IsInf(got, 1) || !math.IsInf(want, 1) && math.Abs(want-got) > 1e-9 {
+							t.Fatalf("src %d dst %d bound %d t0 %v: Del %v, flood row %d %v", src, dst, k, t0, got, row, want)
+						}
+					}
+				}
+			}
+		}
 	})
 }

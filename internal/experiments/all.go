@@ -124,10 +124,13 @@ func runTimed(c *Config, e Experiment, cfg *Config) error {
 	return err
 }
 
-// sectionSeparator writes the blank-line/rule/blank-line divider that
-// precedes every experiment after the first in a combined stream.
+// Divider is the blank-line/rule/blank-line text RunAll writes before
+// every experiment after the first in a combined stream.
+const Divider = "\n================================================================\n\n"
+
+// sectionSeparator writes the Divider.
 func sectionSeparator(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "\n================================================================\n\n")
+	_, err := io.WriteString(w, Divider)
 	return err
 }
 

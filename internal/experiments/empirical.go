@@ -395,7 +395,7 @@ func Figure12(c *Config) error {
 // time scales.
 func TTLSweep(c *Config) error {
 	fmt.Fprintln(c.Out, "Forwarding success vs TTL — Infocom05")
-	tr, err := c.Trace(Infocom05)
+	tl, err := c.Timeline(Infocom05)
 	if err != nil {
 		return err
 	}
@@ -403,7 +403,7 @@ func TTLSweep(c *Config) error {
 	if c.Quick {
 		msgs = 100
 	}
-	ev := forward.NewEvaluator(tr)
+	ev := forward.NewEvaluatorView(tl.All())
 	algos := ev.StandardAlgorithms(6)
 	ttls := []float64{600, 3600, 3 * 3600, 6 * 3600, 12 * 3600, 24 * 3600}
 	cols := make([]export.Column, len(algos))
@@ -441,12 +441,13 @@ func Forwarding(c *Config) error {
 		if err := c.interrupted(); err != nil {
 			return err
 		}
-		tr, err := c.Trace(name)
+		tl, err := c.Timeline(name)
 		if err != nil {
 			return err
 		}
-		ttl := math.Min(6*3600, tr.Duration()/4)
-		ev := forward.NewEvaluator(tr)
+		v := tl.All()
+		ttl := math.Min(6*3600, v.Duration()/4)
+		ev := forward.NewEvaluatorView(v)
 		res, err := forward.Evaluate(ev, ev.StandardAlgorithms(6), msgs, ttl, r.Split())
 		if err != nil {
 			return err

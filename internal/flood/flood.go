@@ -122,8 +122,7 @@ func (f *Flooder) relax(v trace.NodeID, t float64, visit func(trace.NodeID, floa
 		}
 		// Transmission starts at max(t, beg) ≤ end (guaranteed by the
 		// check above for t; beg ≤ end by trace validation).
-		dep := math.Max(t, e.Beg)
-		visit(e.To, dep+delta)
+		visit(e.To, max(t, e.Beg)+delta)
 	}
 }
 
@@ -132,6 +131,13 @@ func (f *Flooder) relax(v trace.NodeID, t float64, visit func(trace.NodeID, floa
 // (Bellman-Ford over hop count; index [k][v]). Row 0 is t0 at src and
 // +Inf elsewhere. This is the Π(t, k) oracle of §4.1 for one source and
 // starting time.
+//
+// Round k relaxes only the devices whose arrival improved in round k−1:
+// any other device offers the same candidates it offered before, and
+// those are already folded into the previous row, so every row equals
+// the one relaxing every reached device, bit for bit. Once a round
+// improves nothing, every later row equals the last one; those rows are
+// one shared slice, so callers must treat the rows as read-only.
 func (f *Flooder) EarliestDeliveryByHops(src trace.NodeID, t0 float64, maxK int) [][]float64 {
 	out := make([][]float64, maxK+1)
 	prev := make([]float64, f.n)
@@ -139,21 +145,31 @@ func (f *Flooder) EarliestDeliveryByHops(src trace.NodeID, t0 float64, maxK int)
 		prev[i] = math.Inf(1)
 	}
 	prev[src] = t0
-	out[0] = append([]float64(nil), prev...)
+	out[0] = prev
+	var changed, improved []trace.NodeID
+	if !math.IsInf(t0, 1) {
+		changed = append(changed, src)
+	}
 	for k := 1; k <= maxK; k++ {
-		next := append([]float64(nil), prev...)
-		for v := 0; v < f.n; v++ {
-			if math.IsInf(prev[v], 1) {
-				continue
+		if len(changed) > 0 {
+			next := append([]float64(nil), prev...)
+			improved = improved[:0]
+			for _, v := range changed {
+				f.relax(v, prev[v], func(to trace.NodeID, at float64) {
+					if at < next[to] {
+						if next[to] == prev[to] {
+							improved = append(improved, to)
+						}
+						next[to] = at
+					}
+				})
 			}
-			f.relax(trace.NodeID(v), prev[v], func(to trace.NodeID, at float64) {
-				if at < next[to] {
-					next[to] = at
-				}
-			})
+			changed, improved = improved, changed
+			if len(changed) > 0 {
+				prev = next
+			}
 		}
-		out[k] = next
-		prev = next
+		out[k] = prev
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"opportunet/internal/timeline"
 	"opportunet/internal/trace"
 )
 
@@ -132,5 +133,116 @@ func TestReachability(t *testing.T) {
 func TestNumNodes(t *testing.T) {
 	if New(chain(), Options{}).NumNodes() != 4 {
 		t.Error("NumNodes wrong")
+	}
+}
+
+// FuzzFloodByHops checks the changed-set rounds of EarliestDeliveryByHops
+// against denseByHops, bit for bit, on fuzzed tiny traces (2–8 devices,
+// at most 40 contacts, directed or not, TransmitDelay 0 or positive),
+// from every source at a fuzzed start time (special values included)
+// and for hop bounds 0 to 12. The input layout is data[0] → device
+// count, data[1] → maxK, data[2] → start time, then four bytes per
+// contact: endpoints, begin time and duration.
+func FuzzFloodByHops(f *testing.F) {
+	f.Add([]byte{2, 3, 0, 0, 1, 0, 10, 1, 2, 20, 10, 2, 3, 25, 15}, false, uint8(0))
+	f.Add([]byte{6, 12, 5, 0, 2, 0, 9, 2, 1, 20, 1, 1, 3, 40, 7, 3, 4, 8, 60, 4, 5, 100, 3, 5, 0, 200, 30, 0, 5, 10, 0}, true, uint8(9))
+	f.Add([]byte{7, 40, 251, 0, 6, 50, 50, 6, 1, 50, 0, 1, 2, 50, 0, 2, 3, 140, 0, 3, 0, 250, 5, 0, 6, 50, 50}, false, uint8(200))
+	f.Fuzz(func(t *testing.T, data []byte, directed bool, delay uint8) {
+		if len(data) < 3 {
+			return
+		}
+		n := 2 + int(data[0])%7
+		maxK := int(data[1]) % 13
+		var t0 float64
+		switch data[2] {
+		case 255:
+			t0 = math.Inf(1)
+		case 254:
+			t0 = math.Inf(-1)
+		case 253:
+			t0 = math.NaN()
+		case 252:
+			t0 = math.Copysign(0, -1)
+		default:
+			t0 = float64(data[2]) - 16
+		}
+		tr := &trace.Trace{Name: "fuzz", Start: 0, End: 320, Kinds: make([]trace.Kind, n)}
+		for i := 3; i+3 < len(data) && len(tr.Contacts) < 40; i += 4 {
+			a := trace.NodeID(int(data[i]) % n)
+			b := trace.NodeID(int(data[i+1]) % n)
+			if a == b {
+				b = (a + 1) % trace.NodeID(n)
+			}
+			beg := float64(data[i+2])
+			tr.Contacts = append(tr.Contacts, trace.Contact{A: a, B: b, Beg: beg, End: beg + float64(data[i+3]%64)})
+		}
+		opt := Options{Directed: directed}
+		if delay > 0 {
+			opt.TransmitDelay = float64(delay) / 8
+		}
+		fl := NewView(timeline.New(tr).All(), opt)
+		for src := trace.NodeID(0); int(src) < n; src++ {
+			got := fl.EarliestDeliveryByHops(src, t0, maxK)
+			want := denseByHops(fl, src, t0, maxK)
+			if len(got) != len(want) {
+				t.Fatalf("src %d: %d rows, dense %d", src, len(got), len(want))
+			}
+			for k := range want {
+				for v := range want[k] {
+					if math.Float64bits(got[k][v]) != math.Float64bits(want[k][v]) {
+						t.Fatalf("src %d t0 %v row %d device %d: %v, dense %v", src, t0, k, v, got[k][v], want[k][v])
+					}
+				}
+			}
+		}
+	})
+}
+
+// denseByHops is the reference for the changed-set rounds: the dense
+// hop-by-hop Bellman-Ford that relaxes every reached device in every
+// round and copies every row, over denseRelax (relax with math.Max).
+func denseByHops(f *Flooder, src trace.NodeID, t0 float64, maxK int) [][]float64 {
+	out := make([][]float64, maxK+1)
+	prev := make([]float64, f.n)
+	for i := range prev {
+		prev[i] = math.Inf(1)
+	}
+	prev[src] = t0
+	out[0] = append([]float64(nil), prev...)
+	for k := 1; k <= maxK; k++ {
+		next := append([]float64(nil), prev...)
+		for v := 0; v < f.n; v++ {
+			if math.IsInf(prev[v], 1) {
+				continue
+			}
+			denseRelax(f, trace.NodeID(v), prev[v], func(to trace.NodeID, at float64) {
+				if at < next[to] {
+					next[to] = at
+				}
+			})
+		}
+		out[k] = next
+		prev = next
+	}
+	return out
+}
+
+// denseRelax is relax as denseByHops runs it, with math.Max for the
+// departure time.
+func denseRelax(f *Flooder, v trace.NodeID, t float64, visit func(trace.NodeID, float64)) {
+	delta := f.opt.TransmitDelay
+	es := f.v.OutgoingByEnd(v)
+	for i := len(es) - 1; i >= 0; i-- {
+		e := es[i]
+		if e.End < t {
+			break // everything earlier in the slice ends sooner
+		}
+		if f.opt.Directed && !e.Fwd {
+			continue
+		}
+		// Transmission starts at max(t, beg) ≤ end (guaranteed by the
+		// check above for t; beg ≤ end by trace validation).
+		dep := math.Max(t, e.Beg)
+		visit(e.To, dep+delta)
 	}
 }

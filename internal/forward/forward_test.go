@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"opportunet/internal/rng"
+	"opportunet/internal/timeline"
 	"opportunet/internal/trace"
 	"opportunet/internal/tracegen"
 )
@@ -256,4 +257,123 @@ func TestFirstContactNeverBeatsEpidemic(t *testing.T) {
 			t.Fatalf("first-contact beat flooding's optimal delay: %+v vs %+v", fc, ep)
 		}
 	}
+}
+
+// TestEpidemicMatchesDenseFlood checks Epidemic, hop-bounded and
+// unbounded, against the outcome computed from dense flooding rows on
+// random traces, a few of them with more devices than the unbounded
+// run's 64-round cap. Every field must agree, Delay bit for bit.
+func TestEpidemicMatchesDenseFlood(t *testing.T) {
+	r := rng.New(2311)
+	var delivered, missed int
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + r.Intn(12)
+		if trial%10 == 0 {
+			n = 65 + r.Intn(16)
+		}
+		tr := &trace.Trace{Name: "rand", Start: 0, End: 1000, Kinds: make([]trace.Kind, n)}
+		for i := 3 * n; i > 0; i-- {
+			a, b := trace.NodeID(r.Intn(n)), trace.NodeID(r.Intn(n))
+			if a == b {
+				continue
+			}
+			beg := r.Uniform(0, 900)
+			end := beg
+			if r.Bool(0.7) {
+				end += r.Uniform(0, 120)
+			}
+			tr.Contacts = append(tr.Contacts, trace.Contact{A: a, B: b, Beg: beg, End: end})
+		}
+		v := timeline.New(tr).All()
+		e := NewEvaluatorView(v)
+		for probe := 0; probe < 20; probe++ {
+			src, dst := trace.NodeID(r.Intn(n)), trace.NodeID(r.Intn(n))
+			if src == dst {
+				continue
+			}
+			m := Message{Src: src, Dst: dst, T0: r.Uniform(-50, 1000), TTL: r.Uniform(0, 600)}
+			for _, maxHops := range []int{0, 1 + r.Intn(8)} {
+				got, want := e.Epidemic(m, maxHops), denseEpidemic(v, m, maxHops)
+				if got.Delivered != want.Delivered || math.Float64bits(got.Delay) != math.Float64bits(want.Delay) ||
+					got.Hops != want.Hops || got.Copies != want.Copies {
+					t.Fatalf("trial %d %+v maxHops %d: %+v, dense %+v", trial, m, maxHops, got, want)
+				}
+				if got.Delivered {
+					delivered++
+				} else {
+					missed++
+				}
+			}
+		}
+	}
+	if delivered == 0 || missed == 0 {
+		t.Fatalf("%d delivered, %d missed: the traces must exercise both outcomes", delivered, missed)
+	}
+}
+
+// denseEpidemic is Epidemic's outcome read off denseRows.
+func denseEpidemic(v *timeline.View, m Message, maxHops int) Outcome {
+	cap := maxHops
+	if cap <= 0 {
+		cap = min(v.NumNodes(), 64)
+	}
+	rows := denseRows(v, m.Src, m.T0, cap)
+	arr := rows[cap][m.Dst]
+	if arr-m.T0 > m.TTL {
+		copies := 0
+		for _, t := range rows[cap] {
+			if t-m.T0 <= m.TTL {
+				copies++
+			}
+		}
+		return Outcome{Copies: copies}
+	}
+	hops := cap
+	for k := 1; k <= cap; k++ {
+		if rows[k][m.Dst] == arr {
+			hops = k
+			break
+		}
+	}
+	copies := 0
+	for _, t := range rows[cap] {
+		if t <= arr {
+			copies++
+		}
+	}
+	return Outcome{Delivered: true, Delay: arr - m.T0, Hops: hops, Copies: copies}
+}
+
+// denseRows floods undirected contacts with no transmit delay the dense
+// way: every round relaxes every reached device, and every row is a
+// fresh copy. Row k is the earliest delivery at every device within k
+// contacts.
+func denseRows(v *timeline.View, src trace.NodeID, t0 float64, maxK int) [][]float64 {
+	n := v.NumNodes()
+	out := make([][]float64, maxK+1)
+	prev := make([]float64, n)
+	for i := range prev {
+		prev[i] = math.Inf(1)
+	}
+	prev[src] = t0
+	out[0] = append([]float64(nil), prev...)
+	for k := 1; k <= maxK; k++ {
+		next := append([]float64(nil), prev...)
+		for u := range n {
+			if math.IsInf(prev[u], 1) {
+				continue
+			}
+			for _, c := range v.OutgoingByEnd(trace.NodeID(u)) {
+				if c.End < prev[u] {
+					continue
+				}
+				if at := math.Max(prev[u], c.Beg); at < next[c.To] {
+					next[c.To] = at
+				}
+			}
+		}
+		out[k] = next
+		prev = next
+	}
+	return out
 }

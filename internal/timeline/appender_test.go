@@ -22,10 +22,12 @@ func checkIndexEqual(t *testing.T, got, want *timeline.View) {
 	if got.NumContacts() != want.NumContacts() {
 		t.Fatalf("NumContacts: got %d, want %d", got.NumContacts(), want.NumContacts())
 	}
+	gOff, gByBeg, gByEnd, gSuf := got.Adjacency()
+	wOff, wByBeg, wByEnd, wSuf := want.Adjacency()
 	for u := 0; u < n; u++ {
 		id := trace.NodeID(u)
-		gb, ge, gs := got.OutgoingIndex(id)
-		wb, we, ws := want.OutgoingIndex(id)
+		gb, ge, gs := gByBeg[gOff[u]:gOff[u+1]], gByEnd[gOff[u]:gOff[u+1]], gSuf[gOff[u]:gOff[u+1]]
+		wb, we, ws := wByBeg[wOff[u]:wOff[u+1]], wByEnd[wOff[u]:wOff[u+1]], wSuf[wOff[u]:wOff[u+1]]
 		if len(gb) != len(wb) {
 			t.Fatalf("node %d: adjacency size %d, want %d", u, len(gb), len(wb))
 		}

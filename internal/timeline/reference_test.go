@@ -112,8 +112,10 @@ func buildRef(cts []trace.Contact, n int) *refIndex {
 // for element, with the reference built over the same contacts.
 func checkAgainstRef(t *testing.T, v *timeline.View, ref *refIndex) {
 	t.Helper()
+	off, allByBeg, allByEnd, allSuf := v.Adjacency()
 	for u := range ref.adjByBeg {
-		byBeg, byEnd, suf := v.OutgoingIndex(trace.NodeID(u))
+		lo, hi := off[u], off[u+1]
+		byBeg, byEnd, suf := allByBeg[lo:hi], allByEnd[lo:hi], allSuf[lo:hi]
 		if len(byBeg) != len(ref.adjByBeg[u]) {
 			t.Fatalf("node %d: %d directions, reference %d", u, len(byBeg), len(ref.adjByBeg[u]))
 		}

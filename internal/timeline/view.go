@@ -463,29 +463,13 @@ func (v *View) ForOutgoingAfter(u trace.NodeID, t float64, yield func(run []DirC
 	}
 }
 
-// OutgoingIndex returns u's usable contact directions in both sort
-// orders plus the suffix minimum of begin times aligned with the
-// end-sorted slice: sufMinBeg[i] is the smallest Beg among byEnd[i:].
-// This is the bulk form of the δ-slice accessor for sweeps that
-// repeatedly partition u's adjacency around a moving departure time —
-// the contacts still open at t are the byEnd entries past one binary
-// search (stopping early once sufMinBeg exceeds t), and the contacts
-// beginning after t are a byBeg suffix. All three slices are shared;
-// callers must not modify them.
-func (v *View) OutgoingIndex(u trace.NodeID) (byBeg, byEnd []DirContact, sufMinBeg []float64) {
-	tlMetrics.sliceQueries.Inc()
-	x := v.ensureAdj()
-	lo, hi := x.off[u], x.off[u+1]
-	return x.byBeg[lo:hi], x.byEnd[lo:hi], x.sufMinBeg[lo:hi]
-}
-
 // Adjacency returns the view's packed adjacency wholesale: node u's
 // usable contact directions are byBeg[off[u]:off[u+1]] (begin-sorted)
-// and byEnd[off[u]:off[u+1]] (end-sorted), with sufMinBeg aligned to
-// byEnd as in OutgoingIndex. Sweeps that index the adjacency once per
-// relaxed node use this to hoist the per-call overhead of the sliced
-// accessors out of their hot loops. All four slices are shared; callers
-// must not modify them.
+// and byEnd[off[u]:off[u+1]] (end-sorted), and sufMinBeg[i] is the
+// smallest Beg among byEnd[i:off[u+1]] for i in u's range. Sweeps that
+// index the adjacency once per relaxed node use this to hoist the
+// per-call overhead of the sliced accessors out of their hot loops. All
+// four slices are shared; callers must not modify them.
 func (v *View) Adjacency() (off []int32, byBeg, byEnd []DirContact, sufMinBeg []float64) {
 	tlMetrics.sliceQueries.Inc()
 	x := v.ensureAdj()

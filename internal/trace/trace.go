@@ -15,6 +15,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"opportunet/internal/rng"
@@ -128,19 +129,34 @@ func (t *Trace) Clone() *Trace {
 // SortByBeg orders contacts by begin time (ties by end time, then IDs),
 // the canonical order used by the path engine and the statistics below.
 func (t *Trace) SortByBeg() {
-	sort.Slice(t.Contacts, func(i, j int) bool {
-		a, b := t.Contacts[i], t.Contacts[j]
-		if a.Beg != b.Beg {
-			return a.Beg < b.Beg
-		}
-		if a.End != b.End {
-			return a.End < b.End
-		}
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
+	slices.SortFunc(t.Contacts, compareByBeg)
+}
+
+// compareByBeg is negative exactly when a plain < holds on the first of
+// Beg, End, A, B that differs (NaN differs from everything and is never
+// less). That is the order sort.Slice gives with the same less function:
+// both run the same pdqsort, which only asks whether the result is
+// negative. cmp.Compare would instead sort NaN first.
+func compareByBeg(a, b Contact) int {
+	switch {
+	case a.Beg != b.Beg:
+		return before(a.Beg < b.Beg)
+	case a.End != b.End:
+		return before(a.End < b.End)
+	case a.A != b.A:
+		return before(a.A < b.A)
+	case a.B != b.B:
+		return before(a.B < b.B)
+	}
+	return 0
+}
+
+// before maps a strict comparison to a comparator result.
+func before(lt bool) int {
+	if lt {
+		return -1
+	}
+	return 1
 }
 
 // filter returns a copy of t whose contacts satisfy keep. Metadata and

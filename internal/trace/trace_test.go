@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"opportunet/internal/rng"
@@ -220,6 +221,53 @@ func TestSortByBeg(t *testing.T) {
 	for i := 1; i < len(tr.Contacts); i++ {
 		if tr.Contacts[i].Beg < tr.Contacts[i-1].Beg {
 			t.Fatal("not sorted by Beg")
+		}
+	}
+}
+
+// TestSortByBegMatchesSortSlice pins SortByBeg to sort.Slice with the
+// (Beg, End, A, B) less function on tie-heavy contacts: duplicates,
+// shared begin and end times, ±0 and NaN keys. Both orders must agree
+// bit for bit, element by element.
+func TestSortByBegMatchesSortSlice(t *testing.T) {
+	r := rng.New(41)
+	negZero := math.Copysign(0, -1)
+	times := []float64{0, negZero, 1, 2, 2, 3, math.NaN()}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(300)
+		cs := make([]Contact, n)
+		for i := range cs {
+			cs[i] = Contact{
+				A:   NodeID(r.Intn(3)),
+				B:   NodeID(r.Intn(3)),
+				Beg: times[r.Intn(len(times))],
+				End: times[r.Intn(len(times))],
+			}
+			if i > 0 && r.Bool(0.3) {
+				cs[i] = cs[r.Intn(i)]
+			}
+		}
+		want := append([]Contact(nil), cs...)
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.Beg != b.Beg {
+				return a.Beg < b.Beg
+			}
+			if a.End != b.End {
+				return a.End < b.End
+			}
+			if a.A != b.A {
+				return a.A < b.A
+			}
+			return a.B < b.B
+		})
+		tr := &Trace{Contacts: cs}
+		tr.SortByBeg()
+		for i, c := range tr.Contacts {
+			w := want[i]
+			if c.A != w.A || c.B != w.B || math.Float64bits(c.Beg) != math.Float64bits(w.Beg) || math.Float64bits(c.End) != math.Float64bits(w.End) {
+				t.Fatalf("trial %d (n=%d) contact %d: %+v, sort.Slice %+v", trial, n, i, c, w)
+			}
 		}
 	}
 }
