@@ -65,9 +65,9 @@ quick-equivalence:
 
 # Full-mode pin: runs the named experiments (EXPS, default every one)
 # at paper scale and compares each output byte for byte with its
-# section of the committed full_results.txt. Every experiment takes
-# about a minute on 2 cores but peaks near 7 GiB of memory, as the
-# full-size datasets stay cached; CI checks forwarding and ttlsweep.
+# section of the committed full_results.txt. The whole suite takes
+# about 1.5 minutes on 2 cores and peaks near 3 GiB of memory; CI
+# checks forwarding and ttlsweep.
 full-check:
 	$(GO) run ./scripts/fullcheck $(EXPS)
 

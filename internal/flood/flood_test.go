@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"opportunet/internal/rng"
 	"opportunet/internal/timeline"
 	"opportunet/internal/trace"
 )
@@ -196,6 +197,53 @@ func FuzzFloodByHops(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestByHopsAtEpidemicCap checks the rows an unbounded forward.Epidemic
+// reads on traces with more devices than its 64-round cap, against
+// denseByHops bit for bit: a 72-device chain whose far end needs 71
+// hops, so the cap binds before the fixpoint, and the same chain with
+// random shortcuts, which reach the fixpoint early and share rows.
+func TestByHopsAtEpidemicCap(t *testing.T) {
+	const n, maxK = 72, 64
+	r := rng.New(2311)
+	tr := &trace.Trace{Name: "chain", Start: 0, End: 10 * n, Kinds: make([]trace.Kind, n)}
+	for i := 0; i+1 < n; i++ {
+		tr.Contacts = append(tr.Contacts, trace.Contact{A: trace.NodeID(i), B: trace.NodeID(i + 1), Beg: float64(10 * i), End: float64(10*i + 5)})
+	}
+	for shortcuts := range 2 {
+		if shortcuts == 1 {
+			for i := 0; i < 2*n; i++ {
+				a, b := trace.NodeID(r.Intn(n)), trace.NodeID(r.Intn(n))
+				if a == b {
+					continue
+				}
+				beg := r.Uniform(0, 10*n)
+				tr.Contacts = append(tr.Contacts, trace.Contact{A: a, B: b, Beg: beg, End: beg + r.Uniform(0, 30)})
+			}
+		}
+		fl := NewView(timeline.New(tr).All(), Options{})
+		if shortcuts == 0 {
+			rows := fl.EarliestDeliveryByHops(0, 0, maxK)
+			if math.IsInf(rows[maxK][maxK], 1) || !math.IsInf(rows[maxK][maxK+1], 1) {
+				t.Fatalf("row %d reaches devices 64, 65 at %v, %v: the cap must bind", maxK, rows[maxK][maxK], rows[maxK][maxK+1])
+			}
+		}
+		for probe := 0; probe < 12; probe++ {
+			src, t0 := trace.NodeID(0), 0.0
+			if probe > 0 {
+				src, t0 = trace.NodeID(r.Intn(n)), r.Uniform(-50, 10*n)
+			}
+			got, want := fl.EarliestDeliveryByHops(src, t0, maxK), denseByHops(fl, src, t0, maxK)
+			for k := range want {
+				for v := range want[k] {
+					if math.Float64bits(got[k][v]) != math.Float64bits(want[k][v]) {
+						t.Fatalf("shortcuts %d src %d t0 %v row %d device %d: %v, dense %v", shortcuts, src, t0, k, v, got[k][v], want[k][v])
+					}
+				}
+			}
+		}
+	}
 }
 
 // denseByHops is the reference for the changed-set rounds: the dense

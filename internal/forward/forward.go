@@ -50,12 +50,6 @@ type Evaluator struct {
 	fl *flood.Flooder
 }
 
-// NewEvaluator indexes the trace from scratch. Callers that already hold
-// a timeline view use NewEvaluatorView to share the index.
-func NewEvaluator(tr *trace.Trace) *Evaluator {
-	return NewEvaluatorView(timeline.New(tr).All())
-}
-
 // NewEvaluatorView builds an Evaluator over a timeline view, reusing the
 // view's pair and partner indexes.
 func NewEvaluatorView(v *timeline.View) *Evaluator {

@@ -23,8 +23,13 @@ func relayTrace() *trace.Trace {
 	}
 }
 
+// newEvaluator indexes tr and evaluates over its whole timeline.
+func newEvaluator(tr *trace.Trace) *Evaluator {
+	return NewEvaluatorView(timeline.New(tr).All())
+}
+
 func TestMeet(t *testing.T) {
-	e := NewEvaluator(relayTrace())
+	e := newEvaluator(relayTrace())
 	cases := []struct {
 		u, v trace.NodeID
 		t    float64
@@ -55,14 +60,14 @@ func TestMeetOverlappingContacts(t *testing.T) {
 			{A: 0, B: 1, Beg: 0, End: 100},
 		},
 	}
-	e := NewEvaluator(tr)
+	e := newEvaluator(tr)
 	if got := e.Meet(0, 1, 5); got != 5 {
 		t.Fatalf("Meet = %v, want 5", got)
 	}
 }
 
 func TestDirect(t *testing.T) {
-	e := NewEvaluator(relayTrace())
+	e := newEvaluator(relayTrace())
 	o := e.Direct(Message{Src: 0, Dst: 2, T0: 0, TTL: 150})
 	if !o.Delivered || o.Delay != 100 || o.Copies != 1 {
 		t.Fatalf("direct outcome %+v", o)
@@ -74,7 +79,7 @@ func TestDirect(t *testing.T) {
 }
 
 func TestTwoHopBeatsDirect(t *testing.T) {
-	e := NewEvaluator(relayTrace())
+	e := newEvaluator(relayTrace())
 	o := e.TwoHop(Message{Src: 0, Dst: 2, T0: 0, TTL: 150})
 	if !o.Delivered || o.Delay != 30 {
 		t.Fatalf("two-hop outcome %+v, want delay 30 via relay 1", o)
@@ -85,7 +90,7 @@ func TestTwoHopBeatsDirect(t *testing.T) {
 }
 
 func TestSourceSpray(t *testing.T) {
-	e := NewEvaluator(relayTrace())
+	e := newEvaluator(relayTrace())
 	// Budget 1: no relays, equivalent to direct.
 	o := e.SourceSpray(Message{Src: 0, Dst: 2, T0: 0, TTL: 150}, 1)
 	if !o.Delivered || o.Delay != 100 {
@@ -104,7 +109,7 @@ func TestSourceSpray(t *testing.T) {
 }
 
 func TestEpidemic(t *testing.T) {
-	e := NewEvaluator(relayTrace())
+	e := newEvaluator(relayTrace())
 	o := e.Epidemic(Message{Src: 0, Dst: 2, T0: 0, TTL: 150}, 0)
 	if !o.Delivered || o.Delay != 30 || o.Hops != 2 {
 		t.Fatalf("epidemic outcome %+v", o)
@@ -139,7 +144,7 @@ func TestEpidemicDominatesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEvaluator(tr)
+	e := newEvaluator(tr)
 	stats, err := Evaluate(e, e.StandardAlgorithms(6), 300, 6*3600, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
@@ -167,18 +172,18 @@ func TestEpidemicDominatesEverything(t *testing.T) {
 }
 
 func TestEvaluateErrors(t *testing.T) {
-	e := NewEvaluator(relayTrace())
+	e := newEvaluator(relayTrace())
 	if _, err := Evaluate(e, nil, 10, 1000, rng.New(1)); err == nil {
 		t.Error("TTL larger than window should fail")
 	}
 	tiny := &trace.Trace{Start: 0, End: 10, Kinds: []trace.Kind{trace.Internal}}
-	if _, err := Evaluate(NewEvaluator(tiny), nil, 10, 1, rng.New(1)); err == nil {
+	if _, err := Evaluate(newEvaluator(tiny), nil, 10, 1, rng.New(1)); err == nil {
 		t.Error("single-device trace should fail")
 	}
 }
 
 func TestFirstContactDelivers(t *testing.T) {
-	e := NewEvaluator(relayTrace())
+	e := newEvaluator(relayTrace())
 	// From 0 at t=0: first contact is 1 at t=10; 1's next (excluding 0)
 	// is 2 at 30 -> delivered at 30 with 2 transfers.
 	o := e.FirstContact(Message{Src: 0, Dst: 2, T0: 0, TTL: 150})
@@ -188,7 +193,7 @@ func TestFirstContactDelivers(t *testing.T) {
 }
 
 func TestFirstContactTTL(t *testing.T) {
-	e := NewEvaluator(relayTrace())
+	e := newEvaluator(relayTrace())
 	o := e.FirstContact(Message{Src: 0, Dst: 2, T0: 0, TTL: 25})
 	if o.Delivered {
 		t.Fatalf("should miss with TTL 25: %+v", o)
@@ -205,7 +210,7 @@ func TestFirstContactPrefersDestinationOnTie(t *testing.T) {
 			{A: 0, B: 2, Beg: 10, End: 20},
 		},
 	}
-	e := NewEvaluator(tr)
+	e := newEvaluator(tr)
 	o := e.FirstContact(Message{Src: 0, Dst: 2, T0: 0, TTL: 50})
 	if !o.Delivered || o.Delay != 10 || o.Hops != 1 {
 		t.Fatalf("outcome %+v", o)
@@ -222,7 +227,7 @@ func TestFirstContactNoReturnAvoidsInstantLoop(t *testing.T) {
 			{A: 0, B: 1, Beg: 0, End: 100},
 		},
 	}
-	e := NewEvaluator(tr)
+	e := newEvaluator(tr)
 	o := e.FirstContact(Message{Src: 0, Dst: 2, T0: 0, TTL: 90})
 	if o.Delivered {
 		t.Fatalf("unreachable destination delivered: %+v", o)
@@ -238,7 +243,7 @@ func TestFirstContactNeverBeatsEpidemic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEvaluator(tr)
+	e := newEvaluator(tr)
 	r := rng.New(12)
 	internal := tr.InternalNodes()
 	for i := 0; i < 150; i++ {
@@ -257,123 +262,4 @@ func TestFirstContactNeverBeatsEpidemic(t *testing.T) {
 			t.Fatalf("first-contact beat flooding's optimal delay: %+v vs %+v", fc, ep)
 		}
 	}
-}
-
-// TestEpidemicMatchesDenseFlood checks Epidemic, hop-bounded and
-// unbounded, against the outcome computed from dense flooding rows on
-// random traces, a few of them with more devices than the unbounded
-// run's 64-round cap. Every field must agree, Delay bit for bit.
-func TestEpidemicMatchesDenseFlood(t *testing.T) {
-	r := rng.New(2311)
-	var delivered, missed int
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + r.Intn(12)
-		if trial%10 == 0 {
-			n = 65 + r.Intn(16)
-		}
-		tr := &trace.Trace{Name: "rand", Start: 0, End: 1000, Kinds: make([]trace.Kind, n)}
-		for i := 3 * n; i > 0; i-- {
-			a, b := trace.NodeID(r.Intn(n)), trace.NodeID(r.Intn(n))
-			if a == b {
-				continue
-			}
-			beg := r.Uniform(0, 900)
-			end := beg
-			if r.Bool(0.7) {
-				end += r.Uniform(0, 120)
-			}
-			tr.Contacts = append(tr.Contacts, trace.Contact{A: a, B: b, Beg: beg, End: end})
-		}
-		v := timeline.New(tr).All()
-		e := NewEvaluatorView(v)
-		for probe := 0; probe < 20; probe++ {
-			src, dst := trace.NodeID(r.Intn(n)), trace.NodeID(r.Intn(n))
-			if src == dst {
-				continue
-			}
-			m := Message{Src: src, Dst: dst, T0: r.Uniform(-50, 1000), TTL: r.Uniform(0, 600)}
-			for _, maxHops := range []int{0, 1 + r.Intn(8)} {
-				got, want := e.Epidemic(m, maxHops), denseEpidemic(v, m, maxHops)
-				if got.Delivered != want.Delivered || math.Float64bits(got.Delay) != math.Float64bits(want.Delay) ||
-					got.Hops != want.Hops || got.Copies != want.Copies {
-					t.Fatalf("trial %d %+v maxHops %d: %+v, dense %+v", trial, m, maxHops, got, want)
-				}
-				if got.Delivered {
-					delivered++
-				} else {
-					missed++
-				}
-			}
-		}
-	}
-	if delivered == 0 || missed == 0 {
-		t.Fatalf("%d delivered, %d missed: the traces must exercise both outcomes", delivered, missed)
-	}
-}
-
-// denseEpidemic is Epidemic's outcome read off denseRows.
-func denseEpidemic(v *timeline.View, m Message, maxHops int) Outcome {
-	cap := maxHops
-	if cap <= 0 {
-		cap = min(v.NumNodes(), 64)
-	}
-	rows := denseRows(v, m.Src, m.T0, cap)
-	arr := rows[cap][m.Dst]
-	if arr-m.T0 > m.TTL {
-		copies := 0
-		for _, t := range rows[cap] {
-			if t-m.T0 <= m.TTL {
-				copies++
-			}
-		}
-		return Outcome{Copies: copies}
-	}
-	hops := cap
-	for k := 1; k <= cap; k++ {
-		if rows[k][m.Dst] == arr {
-			hops = k
-			break
-		}
-	}
-	copies := 0
-	for _, t := range rows[cap] {
-		if t <= arr {
-			copies++
-		}
-	}
-	return Outcome{Delivered: true, Delay: arr - m.T0, Hops: hops, Copies: copies}
-}
-
-// denseRows floods undirected contacts with no transmit delay the dense
-// way: every round relaxes every reached device, and every row is a
-// fresh copy. Row k is the earliest delivery at every device within k
-// contacts.
-func denseRows(v *timeline.View, src trace.NodeID, t0 float64, maxK int) [][]float64 {
-	n := v.NumNodes()
-	out := make([][]float64, maxK+1)
-	prev := make([]float64, n)
-	for i := range prev {
-		prev[i] = math.Inf(1)
-	}
-	prev[src] = t0
-	out[0] = append([]float64(nil), prev...)
-	for k := 1; k <= maxK; k++ {
-		next := append([]float64(nil), prev...)
-		for u := range n {
-			if math.IsInf(prev[u], 1) {
-				continue
-			}
-			for _, c := range v.OutgoingByEnd(trace.NodeID(u)) {
-				if c.End < prev[u] {
-					continue
-				}
-				if at := math.Max(prev[u], c.Beg); at < next[c.To] {
-					next[c.To] = at
-				}
-			}
-		}
-		out[k] = next
-		prev = next
-	}
-	return out
 }
