@@ -73,7 +73,8 @@ full-check:
 
 # Short fuzz run of every fuzz target, one line each (-fuzz takes a
 # single target): the trace parser never panics, rejects non-finite
-# times, and round-trips what it accepts; the Pareto set keeps its
+# times, round-trips what it accepts, and agrees with the streaming
+# parser on which inputs to accept; the Pareto set keeps its
 # staircase invariant; the one-pass success curve matches the
 # per-budget loop bit for bit; core's hop-bounded and unbounded
 # frontiers match the flood oracle's rows; the HTTP query surface never
@@ -119,14 +120,15 @@ stream-check:
 		./internal/timeline ./internal/core ./internal/analysis ./internal/trace ./internal/tracegen
 	$(GO) test ./internal/timeline -run FuzzAppendMerge -fuzz FuzzAppendMerge -fuzztime 10s
 
-# Serving gate: opportunetd end-to-end over real HTTP — warm exact
-# answers, 1 ms deadlines degrading to certified bounds that contain
-# the exact diameter, overload shedding with 429 + Retry-After, live
-# serving metrics, and a SIGTERM drain that leaks no in-flight request.
-# The tracing contract rides along: X-Trace-Id round trip, the
-# /debug/requests flight recorder holding shed + degraded traces
-# mid-run, and the access log validated by scripts/checktrace.
-# Artifacts land in server-artifacts/.
+# Serving gate: opportunetd end-to-end over real HTTP — exact answers
+# only, the default queries warm from load within a 50 ms deadline, a
+# 1 ms fresh-grid deadline answered 504, overload shedding with 429 +
+# Retry-After, live serving metrics, and a SIGTERM sent mid-query that
+# lets the query answer 200 and drains without leaking a request. The
+# tracing contract rides along: X-Trace-Id round trip, the
+# /debug/requests flight recorder holding shed + error traces mid-run,
+# and the access log validated by scripts/checktrace. Artifacts land
+# in server-artifacts/.
 server-smoke:
 	scripts/server_smoke.sh server-artifacts
 

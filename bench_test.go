@@ -116,9 +116,9 @@ func BenchmarkDelayCDFAggregation(b *testing.B) {
 	}
 }
 
-// benchReachOptions sizes the bounds engine the way the serving layer
-// does (server.ReachSlotBudget): the smallest slot-count doubling that
-// makes a slot no wider than the smallest delay budget, so the
+// benchReachOptions sizes the bounds engine with server.ReachSlotBudget,
+// as perfbench's study workload does: the smallest slot-count doubling
+// that makes a slot no wider than the smallest delay budget, so the
 // envelopes can actually certify on the multi-day bench trace. The
 // package default of 256 slots cannot certify this window/grid
 // combination — an engine left at the default measures a provably
@@ -127,10 +127,9 @@ func benchReachOptions(tr *trace.Trace, grid []float64) reach.Options {
 	return reach.Options{MaxSlots: server.ReachSlotBudget(tr.Duration(), grid[0])}
 }
 
-// BenchmarkReachBounds measures what a daemon dataset load pays for its
-// degraded-answer tier: one envelope build at the certifying slot
-// resolution plus the certified diameter bounds on the scaled
-// conference trace.
+// BenchmarkReachBounds measures one envelope build at the certifying
+// slot resolution plus the certified diameter bounds on the scaled
+// conference trace: the work cmd/diameter -approx pays on such a trace.
 func BenchmarkReachBounds(b *testing.B) {
 	tr := benchTrace(b)
 	v := timeline.New(tr).All()

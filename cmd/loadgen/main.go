@@ -1,6 +1,6 @@
 // Command loadgen drives a running opportunetd daemon with
 // reproducible HTTP load and writes the measured latency, throughput,
-// shed, and degradation profile to LOADGEN_REPORT.json.
+// shed and error profile to LOADGEN_REPORT.json.
 //
 // The request schedule is a pure function of -seed and the run shape:
 // two invocations with identical flags issue byte-identical request
@@ -131,8 +131,8 @@ func main() {
 			if !ok {
 				continue
 			}
-			vb.Logf("[loadgen: %s %s: %d reqs %.0f rps p50 %.2fms p99 %.2fms shed %d degraded %d errors %d worst %.2fms (%s)]",
-				ph.Name, kind, ts.Count, ts.Throughput, ts.P50MS, ts.P99MS, ts.Shed, ts.Degraded, ts.Errors,
+			vb.Logf("[loadgen: %s %s: %d reqs %.0f rps p50 %.2fms p99 %.2fms shed %d errors %d worst %.2fms (%s)]",
+				ph.Name, kind, ts.Count, ts.Throughput, ts.P50MS, ts.P99MS, ts.Shed, ts.Errors,
 				ts.WorstMS, ts.WorstTraceID)
 		}
 	}

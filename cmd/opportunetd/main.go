@@ -1,7 +1,8 @@
 // Command opportunetd is the long-lived query daemon: it loads one or
 // more contact traces into a warm registry (timeline index + exhaustive
-// path archive + curve cache + reach bounds tier) and serves the
-// paper's quantities over HTTP as JSON:
+// path archive + curve cache, warmed by answering the default diameter
+// and delay-CDF queries at load) and serves the paper's quantities
+// over HTTP as JSON:
 //
 //	/v1/datasets                          registry metadata
 //	/v1/path?src=&dst=&t=&reconstruct=1   one pair's delivery (and path)
@@ -9,23 +10,22 @@
 //	/v1/delaycdf?hops=1,2,0&points=       per-hop-bound success curves
 //	/healthz, /readyz                     liveness / readiness
 //
-// Robustness is the point: bounded admission with load shedding (429 +
-// Retry-After), per-request deadlines (X-Deadline-Ms header or
-// deadline_ms parameter, capped by -max-deadline) propagated through
-// every computation, graceful degradation of deadline-busting
-// diameter-style queries to certified reach-tier bounds marked
-// "degraded":"bounds-only", per-request panic containment, coalescing
-// of identical in-flight queries, and SIGTERM drain within -drain
-// budget. Exit codes follow the repo convention: 2 usage, 1 runtime
-// error, 0 after a clean signal-triggered drain.
+// Every answer is exact. Robustness is the point: bounded admission
+// with load shedding (429 + Retry-After), per-request deadlines
+// (X-Deadline-Ms header or deadline_ms parameter, capped by
+// -max-deadline) propagated through every computation, with 504 for a
+// query whose deadline expires first, per-request panic containment,
+// coalescing of identical in-flight queries, and SIGTERM drain within
+// -drain budget. Exit codes follow the repo convention: 2 usage, 1
+// runtime error, 0 after a clean signal-triggered drain.
 //
 // Every request is traced: the daemon adopts a client X-Trace-Id (or
 // generates one), echoes it on the response, and attributes the
 // request's latency to queue/compute/encode stages. -access-log
 // appends one JSON line per request, -slow-ms dumps full event traces
 // of outliers into the same stream, and the last -recorder requests
-// (tail-biased: slowest per endpoint, every shed/degraded/error) are
-// served live at /debug/requests.
+// (tail-biased: slowest per endpoint, every shed/error) are served
+// live at /debug/requests.
 //
 // Usage:
 //
@@ -65,10 +65,10 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address (:0 picks a free port)")
 	workers := flag.Int("workers", 0, "worker goroutines for loading and per-query aggregation (0 = all cores)")
 	directed := flag.Bool("directed", false, "use contacts only in their recorded orientation")
-	delta := flag.Float64("delta", 0, "per-hop transmission delay in seconds (disables the bounds tier when > 0)")
+	delta := flag.Float64("delta", 0, "per-hop transmission delay in seconds")
 	maxHops := flag.Int("maxhops", 0, "hop bound for the path computation (0 = run to the fixpoint)")
-	points := flag.Int("points", 60, "default delay-grid resolution (and the prewarmed degraded grid)")
-	eps := flag.Float64("eps", 0.01, "default diameter confidence parameter (and the prewarmed bounds')")
+	points := flag.Int("points", 60, "default delay-grid resolution (its default diameter and delay CDFs are computed at load)")
+	eps := flag.Float64("eps", 0.01, "default diameter confidence parameter (its diameter is computed at load)")
 	maxInflight := flag.Int("max-inflight", 4, "queries computing concurrently; more wait, then shed")
 	maxQueue := flag.Int("max-queue", 16, "queries allowed to wait for a slot before arrivals are shed with 429")
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "longest one query may wait for admission before 429")
@@ -106,8 +106,10 @@ func main() {
 	stages := obs.NewStages()
 	stages.Enter("load")
 
-	// The daemon context: SIGINT/SIGTERM flip it, which is the drain
-	// trigger, not an abort — in-flight queries get the -drain budget.
+	// The daemon context: SIGINT/SIGTERM flip it. During the load that
+	// cancels the path computation; once serving it is the drain trigger,
+	// not an abort — request contexts do not descend from it, so
+	// in-flight queries get the -drain budget.
 	ctx, stop := cli.Context(0)
 	defer stop()
 	if err := prof.Start(); err != nil {
@@ -128,7 +130,7 @@ func main() {
 		defer f.Close()
 		accessW = f
 	}
-	srv := server.New(ctx, server.Config{
+	srv := server.New(server.Config{
 		MaxInflight:   *maxInflight,
 		MaxQueue:      *maxQueue,
 		QueueWait:     *queueWait,
@@ -164,18 +166,9 @@ func main() {
 			cli.Fail("opportunetd", fmt.Errorf("%s: %w", ta.path, err))
 		}
 		srv.Register(ds)
-		bounds := "no bounds tier"
-		switch {
-		case ds.WarmHi >= 0:
-			bounds = fmt.Sprintf("warm diameter bounds [%d, %d]", ds.WarmLo, ds.WarmHi)
-		case ds.Reach != nil:
-			// Envelopes are warm but no hop bound certified as passing:
-			// degraded answers use [WarmLo, fixpoint].
-			bounds = fmt.Sprintf("warm envelopes, diameter >= %d", ds.WarmLo)
-		}
-		vb.Logf("[opportunetd: loaded %q: %d nodes, %d contacts, fixpoint %d hops, %s, in %v]",
+		vb.Logf("[opportunetd: loaded %q: %d nodes, %d contacts, fixpoint %d hops, diameter %d (eps %g, %d points), in %v]",
 			ds.Name, ds.View.NumNodes(), ds.View.NumContacts(), ds.Study.Result.Hops,
-			bounds, ds.LoadTime.Round(time.Millisecond))
+			ds.Diameter, ds.DefaultEps, ds.DefaultPoints, ds.LoadTime.Round(time.Millisecond))
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -1,7 +1,7 @@
 // Package loadgen drives an opportunetd daemon with reproducible HTTP
 // load and measures what comes back: per-query-type latency
 // histograms (p50/p90/p99), throughput, and the daemon's defensive
-// responses — sheds (429), degraded bounds-only answers, errors.
+// responses — sheds (429) and errors.
 //
 // The request schedule is a pure function of (seed, index): request i
 // derives its own rng stream, picks a query type by mix weight, and
@@ -27,7 +27,6 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -164,11 +163,9 @@ func Burst(requests int) []Phase {
 
 // typeStats accumulates one (phase, kind) cell during the run.
 type typeStats struct {
-	latency  *obs.Histogram
-	ok       atomic.Int64
-	shed     atomic.Int64
-	degraded atomic.Int64
-	errors   atomic.Int64
+	latency *obs.Histogram
+	shed    atomic.Int64
+	errors  atomic.Int64
 
 	mu      sync.Mutex
 	worst   time.Duration
@@ -197,7 +194,6 @@ type TypeReport struct {
 	P99MS      float64 `json:"p99_ms"`
 	MeanMS     float64 `json:"mean_ms"`
 	Shed       int64   `json:"shed"`
-	Degraded   int64   `json:"degraded"`
 	Errors     int64   `json:"errors"`
 	// WorstMS is the single slowest exchange and WorstTraceID the
 	// X-Trace-Id it carried, resolvable in the daemon's access log and
@@ -377,7 +373,6 @@ func runPhase(ctx context.Context, client *http.Client, base string, sched *Sche
 			P99MS:        st.latency.Quantile(0.99) * 1e3,
 			MeanMS:       st.latency.Sum() / float64(n) * 1e3,
 			Shed:         st.shed.Load(),
-			Degraded:     st.degraded.Load(),
 			Errors:       st.errors.Load(),
 			WorstMS:      float64(st.worst) / float64(time.Millisecond),
 			WorstTraceID: st.worstID,
@@ -385,10 +380,6 @@ func runPhase(ctx context.Context, client *http.Client, base string, sched *Sche
 	}
 	return pr, nil
 }
-
-// degradedMarker is the serving layer's bounds-only tag, matched as a
-// raw substring so classification needs no JSON decode.
-const degradedMarker = `"degraded":"bounds-only"`
 
 // issue performs one exchange and classifies the outcome. Only
 // transport-level failures (daemon gone, timeout at the client) abort
@@ -409,22 +400,15 @@ func issue(ctx context.Context, client *http.Client, base string, r Request, tra
 		}
 		return fmt.Errorf("loadgen: %s: %w", r.URL, err)
 	}
-	body, err := io.ReadAll(resp.Body)
+	_, err = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	st.observe(time.Since(start), traceID)
-	if err != nil {
-		st.errors.Add(1)
-		return nil
-	}
 	switch {
-	case resp.StatusCode == http.StatusOK:
-		st.ok.Add(1)
-		if bytes.Contains(body, []byte(degradedMarker)) {
-			st.degraded.Add(1)
-		}
+	case err != nil:
+		st.errors.Add(1)
 	case resp.StatusCode == http.StatusTooManyRequests:
 		st.shed.Add(1)
-	default:
+	case resp.StatusCode != http.StatusOK:
 		st.errors.Add(1)
 	}
 	return nil

@@ -27,7 +27,7 @@ func bootDaemon(t *testing.T, cfg server.Config) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(context.Background(), cfg)
+	s := server.New(cfg)
 	s.Register(ds)
 	s.SetReady(true)
 	ts := httptest.NewServer(s.Handler())
@@ -128,7 +128,7 @@ func TestRunOpenLoopPacesArrivals(t *testing.T) {
 
 // TestRunClassification pins the outcome taxonomy against a stub that
 // answers each endpoint with a fixed disposition: paths succeed,
-// diameters are shed with 429, delaycdfs come back degraded.
+// diameters are shed with 429, delaycdfs miss their deadline with 504.
 func TestRunClassification(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
@@ -138,7 +138,8 @@ func TestRunClassification(t *testing.T) {
 			w.WriteHeader(http.StatusTooManyRequests)
 			w.Write([]byte(`{"error":"saturated"}`))
 		case strings.HasPrefix(r.URL.Path, "/v1/delaycdf"):
-			w.Write([]byte(`{"degraded":"bounds-only","reason":"deadline"}`))
+			w.WriteHeader(http.StatusGatewayTimeout)
+			w.Write([]byte(`{"error":"context deadline exceeded"}`))
 		default:
 			w.WriteHeader(http.StatusNotFound)
 		}
@@ -158,14 +159,14 @@ func TestRunClassification(t *testing.T) {
 	}
 	ph := rep.Phases[0]
 	path, diam, cdf := ph.Types["path"], ph.Types["diameter"], ph.Types["delaycdf"]
-	if path.Count == 0 || path.Shed != 0 || path.Degraded != 0 || path.Errors != 0 {
+	if path.Count == 0 || path.Shed != 0 || path.Errors != 0 {
 		t.Errorf("path misclassified: %+v", path)
 	}
 	if diam.Count == 0 || diam.Shed != diam.Count {
 		t.Errorf("429s not all counted as shed: %+v", diam)
 	}
-	if cdf.Count == 0 || cdf.Degraded != cdf.Count {
-		t.Errorf("bounds-only bodies not all counted as degraded: %+v", cdf)
+	if cdf.Count == 0 || cdf.Shed != 0 || cdf.Errors != cdf.Count {
+		t.Errorf("504s not all counted as errors: %+v", cdf)
 	}
 }
 

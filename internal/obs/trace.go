@@ -4,8 +4,8 @@ package obs
 // histograms, spans) answers "how is the system doing"; a Trace answers
 // "what happened to THIS request": a typed event list with monotonic
 // timestamps covering the request's path through admission, coalescing,
-// tier selection, computation and encoding, plus the attribution fields
-// an access log needs (status, disposition, stage durations, bytes).
+// computation and encoding, plus the attribution fields an access log
+// needs (status, disposition, stage durations, bytes).
 //
 // The same contract as the metric handles applies:
 //
@@ -22,8 +22,8 @@ package obs
 // The Recorder is the flight recorder: a lock-cheap ring buffer of the
 // last N completed traces with tail-biased retention — a firehose of
 // healthy requests can never evict the interesting tail, because
-// errors, sheds and degradations are retained in their own ring and the
-// slowest trace per endpoint is always kept.
+// errors and sheds are retained in their own ring and the slowest trace
+// per endpoint is always kept.
 
 import (
 	"sync"
@@ -47,11 +47,6 @@ const (
 	// TraceFollower marks the request attaching to an identical
 	// in-flight computation instead of recomputing.
 	TraceFollower
-	// TraceTierExact marks the decision to answer from the exact tier.
-	TraceTierExact
-	// TraceTierDegraded marks the decision to answer from the bounds
-	// tier; Note carries the reason ("deadline", "shed").
-	TraceTierDegraded
 	// TraceComputeStart / TraceComputeEnd bracket the engine work.
 	TraceComputeStart
 	TraceComputeEnd
@@ -76,8 +71,6 @@ var traceEventNames = [numTraceEventKinds]string{
 	TraceAcquire:      "acquire",
 	TraceLeader:       "leader",
 	TraceFollower:     "follower",
-	TraceTierExact:    "tier-exact",
-	TraceTierDegraded: "tier-degraded",
 	TraceComputeStart: "compute-start",
 	TraceComputeEnd:   "compute-end",
 	TraceEncodeStart:  "encode-start",
@@ -101,12 +94,11 @@ type Disposition uint8
 const (
 	DispOK Disposition = iota
 	DispShed
-	DispDegraded
 	DispError
 	numDispositions
 )
 
-var dispositionNames = [numDispositions]string{"ok", "shed", "degraded", "error"}
+var dispositionNames = [numDispositions]string{"ok", "shed", "error"}
 
 // String returns the stable wire name of the disposition.
 func (d Disposition) String() string {
@@ -136,10 +128,6 @@ type TraceEvent struct {
 	// Arg carries the event's integer payload (bytes written, contacts
 	// appended); 0 when the kind has none.
 	Arg int64
-	// Note carries the event's static annotation (a degradation
-	// reason). Always an interned/constant string so recording one
-	// never allocates.
-	Note string
 }
 
 // Capacity limits keeping a Trace a fixed-size, pool-friendly value.
@@ -234,17 +222,11 @@ func (t *Trace) Since() int64 {
 }
 
 // Event records kind at the current offset. Nil-safe; never allocates.
-func (t *Trace) Event(kind TraceEventKind) { t.EventArgNote(kind, 0, "") }
+func (t *Trace) Event(kind TraceEventKind) { t.EventArg(kind, 0) }
 
-// EventArg records kind with an integer payload. Nil-safe.
-func (t *Trace) EventArg(kind TraceEventKind, arg int64) { t.EventArgNote(kind, arg, "") }
-
-// EventNote records kind with a static-string annotation. Nil-safe.
-func (t *Trace) EventNote(kind TraceEventKind, note string) { t.EventArgNote(kind, 0, note) }
-
-// EventArgNote records kind with both payloads. Beyond the fixed event
+// EventArg records kind with an integer payload. Beyond the fixed event
 // capacity events are dropped (and counted), never grown. Nil-safe.
-func (t *Trace) EventArgNote(kind TraceEventKind, arg int64, note string) {
+func (t *Trace) EventArg(kind TraceEventKind, arg int64) {
 	if t == nil {
 		return
 	}
@@ -252,7 +234,7 @@ func (t *Trace) EventArgNote(kind TraceEventKind, arg int64, note string) {
 		t.dropped++
 		return
 	}
-	t.events[t.n] = TraceEvent{Kind: kind, At: int64(time.Since(t.start)), Arg: arg, Note: note}
+	t.events[t.n] = TraceEvent{Kind: kind, At: int64(time.Since(t.start)), Arg: arg}
 	t.n++
 }
 
@@ -357,9 +339,9 @@ const recorderEndpointCap = 8
 // Recorder is the flight recorder: completed traces land in a ring of
 // the last N, with tail-biased retention on top —
 //
-//   - every non-ok trace (shed, degraded, error) also lands in a
-//     second ring of the same capacity, so a firehose of healthy
-//     requests cannot flush the failures out;
+//   - every non-ok trace (shed, error) also lands in a second ring of
+//     the same capacity, so a firehose of healthy requests cannot
+//     flush the failures out;
 //   - the slowest trace seen per endpoint is always kept.
 //
 // Recording is a mutex plus a fixed-size struct copy — no allocation,
@@ -426,7 +408,6 @@ type TraceEventSnapshot struct {
 	Kind string `json:"ev"`
 	AtNS int64  `json:"at_ns"`
 	Arg  int64  `json:"arg,omitempty"`
-	Note string `json:"note,omitempty"`
 }
 
 // TraceSnapshot is the exported form of one completed trace, the unit
@@ -474,7 +455,7 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		Events:         make([]TraceEventSnapshot, t.n),
 	}
 	for i, ev := range t.events[:t.n] {
-		s.Events[i] = TraceEventSnapshot{Kind: ev.Kind.String(), AtNS: ev.At, Arg: ev.Arg, Note: ev.Note}
+		s.Events[i] = TraceEventSnapshot{Kind: ev.Kind.String(), AtNS: ev.At, Arg: ev.Arg}
 	}
 	return s
 }
@@ -485,7 +466,7 @@ type TraceFilter struct {
 	// Endpoint, when non-empty, keeps only traces of that endpoint.
 	Endpoint string
 	// Disposition, when non-empty, keeps only traces whose disposition
-	// name matches ("ok", "shed", "degraded", "error").
+	// name matches ("ok", "shed", "error").
 	Disposition string
 	// Limit caps the returned traces (0 = no cap).
 	Limit int

@@ -17,7 +17,6 @@ func TestTraceNilHandlesAllocFree(t *testing.T) {
 		tc.SetID("client-id")
 		tc.Event(TraceAcquire)
 		tc.EventArg(TraceWrite, 128)
-		tc.EventNote(TraceTierDegraded, "deadline")
 		_ = tc.ID()
 		_ = tc.Since()
 		_ = tc.Events()
@@ -132,7 +131,7 @@ func retire(tr *Tracer, endpoint, id string, disp Disposition, total time.Durati
 }
 
 // Tail-biased retention: a firehose of healthy requests must not evict
-// the shed/degraded/error tail nor the slowest-per-endpoint record.
+// the shed/error tail nor the slowest-per-endpoint record.
 func TestRecorderTailBiasedRetention(t *testing.T) {
 	rec := NewRecorder(4)
 	tr := NewTracer(rec)
@@ -207,21 +206,21 @@ func TestRecorderSnapshotShape(t *testing.T) {
 	tc := tr.Start("diameter")
 	tc.SetID("shape-1")
 	tc.Dataset = "synth"
-	tc.Status = 200
-	tc.Disposition = DispDegraded
+	tc.Status = 504
+	tc.Disposition = DispError
 	tc.QueueNS, tc.ComputeNS, tc.EncodeNS = 10, 20, 30
 	tc.DeadlineNS, tc.DeadlineUsedNS = 1000, 900
 	tc.Bytes = 512
-	tc.EventNote(TraceTierDegraded, "deadline")
+	tc.EventArg(TraceWrite, 512)
 	tr.Finish(tc)
 
-	snaps := rec.Snapshot(TraceFilter{Disposition: "degraded"})
+	snaps := rec.Snapshot(TraceFilter{Disposition: "error"})
 	if len(snaps) != 1 {
 		t.Fatalf("got %d snapshots, want 1", len(snaps))
 	}
 	s := snaps[0]
 	if s.ID != "shape-1" || s.Endpoint != "diameter" || s.Dataset != "synth" ||
-		s.Status != 200 || s.Disposition != "degraded" || s.Bytes != 512 ||
+		s.Status != 504 || s.Disposition != "error" || s.Bytes != 512 ||
 		s.QueueNS != 10 || s.ComputeNS != 20 || s.EncodeNS != 30 ||
 		s.DeadlineNS != 1000 || s.DeadlineUsedNS != 900 {
 		t.Fatalf("snapshot fields wrong: %+v", s)
@@ -230,7 +229,7 @@ func TestRecorderSnapshotShape(t *testing.T) {
 		t.Fatalf("snapshot missing totals: %+v", s)
 	}
 	if len(s.Events) != 2 || s.Events[0].Kind != "start" ||
-		s.Events[1].Kind != "tier-degraded" || s.Events[1].Note != "deadline" {
+		s.Events[1].Kind != "write" || s.Events[1].Arg != 512 {
 		t.Fatalf("snapshot events wrong: %+v", s.Events)
 	}
 }

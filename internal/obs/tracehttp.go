@@ -10,7 +10,7 @@ import (
 // /debug/requests format shared by the query daemon and the ingest
 // observability endpoint. Query parameters narrow the view:
 // ?endpoint= keeps one endpoint, ?disposition= one outcome class
-// (ok|shed|degraded|error), ?limit= caps the count. Unknown
+// (ok|shed|error), ?limit= caps the count. Unknown
 // disposition names are rejected with 400, not silently empty.
 func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if r == nil {

@@ -87,26 +87,6 @@ func (e *Engine) DiameterBounds(eps float64, grid []float64) (lo, hi int, err er
 	}
 }
 
-// WarmDiameterBounds brackets the (1−ε)-diameter like DiameterBounds,
-// but only from a completed build for this exact grid: it never builds
-// and never refines, so it costs one scan of the warm envelopes. ok is
-// false when no such build exists (or eps is outside [0, 1)); degraded
-// answers use it because a request that cannot afford the exact tier
-// cannot afford an envelope build either.
-func (e *Engine) WarmDiameterBounds(eps float64, grid []float64) (lo, hi int, ok bool) {
-	if eps < 0 || eps >= 1 {
-		return 0, -1, false
-	}
-	e.mu.Lock()
-	bd := e.built
-	e.mu.Unlock()
-	if bd == nil || !bd.sameGrid(grid) {
-		return 0, -1, false
-	}
-	lo, hi = bd.diameterBounds(eps, grid)
-	return lo, hi, true
-}
-
 // diameterBounds scans hop bounds upward, certifying each as a definite
 // pass, a definite fail, or ambiguous. A definite pass at k means even
 // the padded lower envelope of k's curve clears (1−ε) times the padded

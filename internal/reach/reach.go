@@ -25,9 +25,9 @@
 // stays below (1−ε) times the unbounded lower envelope. Both
 // certificates imply the exact decision (they fold in the exact
 // aggregation's comparison tolerance), so a bracket [lo, hi] always
-// contains the exhaustive engine's answer — the guarantee behind the
-// daemon's degraded bounds-only answers and cmd/diameter -approx. The
-// exact analysis shares only SuccessCurveTol with this package. When
+// contains the exhaustive engine's answer — the guarantee behind
+// cmd/diameter -approx. The exact analysis shares only SuccessCurveTol
+// with this package. When
 // the slot resolution is too coarse to decide, Refine doubles it up to
 // a cap.
 //
@@ -104,17 +104,6 @@ type Engine struct {
 
 	mu    sync.Mutex
 	built *build // finest completed build, nil until first query
-}
-
-// HasBuild reports whether the engine already holds a completed build
-// for this exact delay grid — i.e. whether envelope queries on it are
-// warm reads rather than a fresh slot sweep. Serving layers use it to
-// decide whether a degraded bounds answer is available without paying
-// for a build.
-func (e *Engine) HasBuild(grid []float64) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.built != nil && e.built.sameGrid(grid)
 }
 
 // New prepares an engine over the view. The aggregation population is

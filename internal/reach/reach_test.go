@@ -165,16 +165,9 @@ func TestDiameterBoundsBracketExact(t *testing.T) {
 					if err != nil {
 						t.Fatalf("trace %d: reach: %v", ti, err)
 					}
-					if _, _, ok := eng.WarmDiameterBounds(eps, grid); ok {
-						t.Fatalf("trace %d eps %v: warm bounds before any build", ti, eps)
-					}
 					lo, hi, err := eng.DiameterBounds(eps, grid)
 					if err != nil {
 						t.Fatalf("trace %d eps %v: DiameterBounds: %v", ti, eps, err)
-					}
-					if wlo, whi, ok := eng.WarmDiameterBounds(eps, grid); !ok || wlo != lo || whi != hi {
-						t.Fatalf("trace %d eps %v: warm bounds [%d, %d] ok=%v, DiameterBounds said [%d, %d]",
-							ti, eps, wlo, whi, ok, lo, hi)
 					}
 					exact := exactDiameter(curves, eps)
 					if exact > maxK {

@@ -10,7 +10,7 @@ package server
 // Line schema (validated end-to-end by scripts/checktrace):
 //
 //	{"ev":"req","t_unix_ns":N,"trace_id":"…","endpoint":"…",
-//	 "dataset":"…","status":N,"disposition":"ok|shed|degraded|error",
+//	 "dataset":"…","status":N,"disposition":"ok|shed|error",
 //	 "queue_ns":N,"compute_ns":N,"encode_ns":N,"total_ns":N,
 //	 "deadline_ns":N,"used_ns":N,"coalesce":"leader|follower|none",
 //	 "bytes":N}

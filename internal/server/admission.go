@@ -107,11 +107,3 @@ func (a *admission) release() {
 	<-a.slots
 	srvMetrics.inflight.Add(-1)
 }
-
-// saturated reports shed mode: every slot is busy and requests are
-// already queued behind them. Degradable queries arriving in this state
-// answer from the bounds tier up front rather than adding exact-tier
-// work to an overloaded server.
-func (a *admission) saturated() bool {
-	return len(a.slots) == cap(a.slots) && a.waiting.Load() > 0
-}

@@ -15,9 +15,6 @@ func TestAdmissionFastPath(t *testing.T) {
 	if err := a.acquire(nil, nil); err != nil {
 		t.Fatalf("second acquire: %v", err)
 	}
-	if a.saturated() {
-		t.Fatalf("saturated with no waiters")
-	}
 	a.release()
 	a.release()
 	if err := a.acquire(context.Background(), nil); err != nil {
@@ -47,9 +44,6 @@ func TestAdmissionQueueFullShed(t *testing.T) {
 	queued := make(chan error, 1)
 	go func() { queued <- a.acquire(context.Background(), nil) }()
 	waitQueued(t, a, 1)
-	if !a.saturated() {
-		t.Fatalf("slot busy + waiter parked should read as saturated")
-	}
 	err := a.acquire(context.Background(), nil)
 	var she *shedError
 	if !errors.As(err, &she) || she.reason != "queue-full" {

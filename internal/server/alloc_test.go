@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -36,8 +35,8 @@ func TestAdmissionAcquireReleaseAllocs(t *testing.T) {
 // each for the query, the frontier, the response, the marshalled body
 // and the Content-Type header value.
 func TestWarmPathServeAllocs(t *testing.T) {
-	ds := testDataset(t, LoadOptions{SkipPrewarm: true})
-	s := New(context.Background(), Config{})
+	ds := testDataset(t)
+	s := New(Config{})
 	s.Register(ds)
 	s.SetReady(true)
 	h := s.Handler()
@@ -80,8 +79,8 @@ func TestWarmPathServeAllocsTraced(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates inside the traced header echo; the pin is measured without -race")
 	}
-	ds := testDataset(t, LoadOptions{SkipPrewarm: true})
-	s := New(context.Background(), Config{
+	ds := testDataset(t)
+	s := New(Config{
 		Recorder:      256,
 		AccessLog:     io.Discard,
 		SlowThreshold: time.Hour, // armed but never tripped by a warm read

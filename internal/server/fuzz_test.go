@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -30,9 +29,9 @@ func headerValue(s string) string {
 // access-log line with a sane deadline attribution, and leaks no
 // request (started == finished).
 func FuzzServeQuery(f *testing.F) {
-	ds := testDataset(f, LoadOptions{})
+	ds := testDataset(f)
 	log := &logBuf{}
-	s := New(context.Background(), Config{Recorder: 16, AccessLog: log})
+	s := New(Config{Recorder: 16, AccessLog: log})
 	s.Register(ds)
 	s.SetReady(true)
 	h := s.Handler()

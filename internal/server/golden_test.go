@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"flag"
 	"net/http/httptest"
 	"os"
@@ -42,8 +41,8 @@ var goldenRequests = []string{
 // served against testDataset, must match testdata/responses.golden.
 // Run with -update to regenerate the file after an intended change.
 func TestResponsesGolden(t *testing.T) {
-	s := New(context.Background(), Config{})
-	s.Register(testDataset(t, LoadOptions{}))
+	s := New(Config{})
+	s.Register(testDataset(t))
 	s.SetReady(true)
 	h := s.Handler()
 

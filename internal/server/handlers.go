@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -20,6 +19,10 @@ import (
 
 // maxHopBounds caps how many CDF curves one request may ask for.
 const maxHopBounds = 16
+
+// defaultHops is /v1/delaycdf's hop list when the request gives none;
+// LoadDataset answers it on the default grid at load.
+const defaultHops = "1,2,3,0"
 
 // query is one parsed request. Only the fields of the requested
 // endpoint are populated.
@@ -111,30 +114,40 @@ func (s *Server) parseQuery(params url.Values, endpoint string) (*query, *Datase
 		}
 		q.hopsRaw = params.Get("hops")
 		if q.hopsRaw == "" {
-			q.hopsRaw = "1,2,3,0"
+			q.hopsRaw = defaultHops
 		}
-		for rest := q.hopsRaw; rest != ""; {
-			var part string
-			if i := strings.IndexByte(rest, ','); i >= 0 {
-				part, rest = rest[:i], rest[i+1:]
-			} else {
-				part, rest = rest, ""
-			}
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			k, err := strconv.Atoi(part)
-			if err != nil || k < 0 {
-				return q, nil, badRequest("bad hop bound %q", part)
-			}
-			q.hops = append(q.hops, k)
-		}
-		if len(q.hops) == 0 || len(q.hops) > maxHopBounds {
-			return q, nil, badRequest("need between 1 and %d hop bounds", maxHopBounds)
+		if q.hops, err = parseHops(q.hopsRaw); err != nil {
+			return q, nil, err
 		}
 	}
 	return q, ds, nil
+}
+
+// parseHops parses a comma-separated list of nonnegative hop bounds,
+// skipping empty entries.
+func parseHops(raw string) ([]int, error) {
+	var hops []int
+	for rest := raw; rest != ""; {
+		var part string
+		if i := strings.IndexByte(rest, ','); i >= 0 {
+			part, rest = rest[:i], rest[i+1:]
+		} else {
+			part, rest = rest, ""
+		}
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		k, err := strconv.Atoi(part)
+		if err != nil || k < 0 {
+			return nil, badRequest("bad hop bound %q", part)
+		}
+		hops = append(hops, k)
+	}
+	if len(hops) == 0 || len(hops) > maxHopBounds {
+		return nil, badRequest("need between 1 and %d hop bounds", maxHopBounds)
+	}
+	return hops, nil
 }
 
 func parseNode(v string) (trace.NodeID, error) {
@@ -197,8 +210,7 @@ type datasetInfo struct {
 	Hops          int     `json:"hops"`
 	DefaultPoints int     `json:"default_points"`
 	DefaultEps    float64 `json:"default_eps"`
-	DiameterLo    int     `json:"diameter_lo,omitempty"`
-	DiameterHi    int     `json:"diameter_hi,omitempty"`
+	Diameter      int     `json:"diameter"`
 	LoadMillis    int64   `json:"load_ms"`
 }
 
@@ -227,32 +239,20 @@ type diameterResponse struct {
 	Dataset    string  `json:"dataset"`
 	Eps        float64 `json:"eps"`
 	Points     int     `json:"points"`
-	Diameter   int     `json:"diameter,omitempty"`
+	Diameter   int     `json:"diameter"`
 	WorstRatio float64 `json:"worst_ratio,omitempty"`
-	// Degraded is "bounds-only" when the reach tier answered; the
-	// certified bracket [DiameterLo, DiameterHi] then contains the
-	// exact diameter, and Reason says why the exact tier was skipped
-	// ("deadline" or "shed").
-	Degraded   string `json:"degraded,omitempty"`
-	Reason     string `json:"reason,omitempty"`
-	DiameterLo int    `json:"diameter_lo,omitempty"`
-	DiameterHi int    `json:"diameter_hi,omitempty"`
 }
 
 type cdfCurve struct {
 	HopBound int       `json:"hop_bound"`
-	Success  []float64 `json:"success,omitempty"`
-	Lower    []float64 `json:"lower,omitempty"`
-	Upper    []float64 `json:"upper,omitempty"`
+	Success  []float64 `json:"success"`
 }
 
 type delayCDFResponse struct {
-	Dataset  string     `json:"dataset"`
-	Points   int        `json:"points"`
-	Grid     []float64  `json:"grid"`
-	Degraded string     `json:"degraded,omitempty"`
-	Reason   string     `json:"reason,omitempty"`
-	Curves   []cdfCurve `json:"curves"`
+	Dataset string     `json:"dataset"`
+	Points  int        `json:"points"`
+	Grid    []float64  `json:"grid"`
+	Curves  []cdfCurve `json:"curves"`
 }
 
 // ---- handlers -------------------------------------------------------
@@ -271,10 +271,8 @@ func (s *Server) handleDatasets(ctx context.Context, _ *Dataset, _ *query) (any,
 			Hops:          ds.Study.Result.Hops,
 			DefaultPoints: ds.DefaultPoints,
 			DefaultEps:    ds.DefaultEps,
+			Diameter:      ds.Diameter,
 			LoadMillis:    ds.LoadTime.Milliseconds(),
-		}
-		if ds.WarmHi >= 0 {
-			info.DiameterLo, info.DiameterHi = ds.WarmLo, ds.WarmHi
 		}
 		infos = append(infos, info)
 	}
@@ -282,8 +280,8 @@ func (s *Server) handleDatasets(ctx context.Context, _ *Dataset, _ *query) (any,
 }
 
 // handlePath answers from the warm frontier archive — an O(log) read
-// per request — so it never degrades; only the optional reconstruction
-// walks the timeline, under the request context.
+// per request; only the optional reconstruction walks the timeline,
+// under the request context.
 func (s *Server) handlePath(ctx context.Context, ds *Dataset, q *query) (any, error) {
 	if err := ds.CheckPair(q.src, q.dst); err != nil {
 		return nil, badRequest("%v", err)
@@ -335,29 +333,18 @@ func (s *Server) handlePath(ctx context.Context, ds *Dataset, q *query) (any, er
 }
 
 // handleDiameter runs the exact (1−ε)-diameter under the request
-// deadline and degrades to the certified bounds bracket when the exact
-// tier cannot answer in time (or the server is saturated). Identical
-// concurrent queries coalesce into one computation.
+// deadline; a deadline that expires first fails the request with its
+// context error (504). Identical concurrent queries coalesce into one
+// computation.
 func (s *Server) handleDiameter(ctx context.Context, ds *Dataset, q *query) (any, error) {
 	grid := ds.Grid(q.points)
 	key := queryKey("diameter", ds.Name, formatFloat(q.eps), strconv.Itoa(len(grid)))
 	return s.flights.do(ctx, q.tr, key, func() (any, error) {
-		if s.adm.saturated() {
-			if resp, ok := s.diameterBounds(ds, q.tr, q.eps, grid, "shed"); ok {
-				return resp, nil
-			}
-		}
 		st := ds.Study.WithContext(ctx)
 		k, worst := st.Diameter(q.eps, grid)
 		if err := st.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				if resp, ok := s.diameterBounds(ds, q.tr, q.eps, grid, "deadline"); ok {
-					return resp, nil
-				}
-			}
 			return nil, err
 		}
-		q.tr.Event(obs.TraceTierExact)
 		return &diameterResponse{
 			Dataset: ds.Name, Eps: q.eps, Points: len(grid),
 			Diameter: k, WorstRatio: worst,
@@ -365,59 +352,18 @@ func (s *Server) handleDiameter(ctx context.Context, ds *Dataset, q *query) (any
 	})
 }
 
-// diameterBounds assembles a degraded bounds-only diameter answer from
-// the reach tier, or reports that none is available: no engine, or no
-// warm envelope build for the grid. Like cdfBounds it never pays for a
-// build or a refinement — a fresh grid's envelopes cost several times
-// its exact integration, and building them would evict the prewarmed
-// default grid's envelopes that deadline-busting queries rely on. An
-// uncertified upper side falls back to the archive's fixpoint hop
-// count — paths longer than the longest optimal path do not exist, so
-// it is a sound (if loose) certificate.
-func (s *Server) diameterBounds(ds *Dataset, tc *obs.Trace, eps float64, grid []float64, reason string) (*diameterResponse, bool) {
-	if ds.Reach == nil {
-		return nil, false
-	}
-	lo, hi, ok := ds.Reach.WarmDiameterBounds(eps, grid)
-	if !ok {
-		return nil, false
-	}
-	if hi < 0 {
-		hi = ds.Study.Result.Hops
-	}
-	srvMetrics.degraded.Inc()
-	tc.EventNote(obs.TraceTierDegraded, reason)
-	return &diameterResponse{
-		Dataset: ds.Name, Eps: eps, Points: len(grid),
-		Degraded: "bounds-only", Reason: reason,
-		DiameterLo: lo, DiameterHi: hi,
-	}, true
-}
-
 // handleDelayCDF integrates the exact per-hop-bound success curves
-// under the request deadline, degrading to the reach tier's
-// lower/upper envelopes when the deadline (or shed mode) preempts the
-// exact integration and a warm envelope build exists for the grid.
+// under the request deadline, failing like handleDiameter when it
+// expires first.
 func (s *Server) handleDelayCDF(ctx context.Context, ds *Dataset, q *query) (any, error) {
 	grid := ds.Grid(q.points)
 	key := queryKey("delaycdf", ds.Name, q.hopsRaw, strconv.Itoa(len(grid)))
 	return s.flights.do(ctx, q.tr, key, func() (any, error) {
-		if s.adm.saturated() {
-			if resp, ok := s.cdfBounds(ds, q.tr, q.hops, grid, "shed"); ok {
-				return resp, nil
-			}
-		}
 		st := ds.Study.WithContext(ctx)
 		cdfs := st.DelayCDFs(q.hops, grid)
 		if err := st.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				if resp, ok := s.cdfBounds(ds, q.tr, q.hops, grid, "deadline"); ok {
-					return resp, nil
-				}
-			}
 			return nil, err
 		}
-		q.tr.Event(obs.TraceTierExact)
 		resp := &delayCDFResponse{Dataset: ds.Name, Points: len(grid), Grid: grid}
 		for _, c := range cdfs {
 			resp.Curves = append(resp.Curves, cdfCurve{HopBound: c.HopBound, Success: c.Success})
@@ -426,49 +372,11 @@ func (s *Server) handleDelayCDF(ctx context.Context, ds *Dataset, q *query) (any
 	})
 }
 
-// cdfBounds assembles degraded envelope curves: for each hop bound the
-// certified lower/upper bracket of the exact success curve. Only warm
-// envelope builds qualify — building envelopes for an already expired
-// request would burn CPU nobody is waiting for.
-func (s *Server) cdfBounds(ds *Dataset, tc *obs.Trace, hops []int, grid []float64, reason string) (*delayCDFResponse, bool) {
-	if ds.Reach == nil || !ds.Reach.HasBuild(grid) {
-		return nil, false
-	}
-	resp := &delayCDFResponse{
-		Dataset: ds.Name, Points: len(grid), Grid: grid,
-		Degraded: "bounds-only", Reason: reason,
-	}
-	for _, k := range hops {
-		lower, upper, err := ds.Reach.DeliveryBound(k, grid)
-		if err != nil {
-			return nil, false
-		}
-		resp.Curves = append(resp.Curves, cdfCurve{HopBound: k, Lower: lower, Upper: upper})
-	}
-	srvMetrics.degraded.Inc()
-	tc.EventNote(obs.TraceTierDegraded, reason)
-	return resp, true
-}
-
 // ---- JSON plumbing --------------------------------------------------
 
 // errorResponse is the body of every non-2xx query response.
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-// isDegradedResponse reports whether v is a bounds-tier answer. It is
-// how the serving pipeline classifies a 200 as "degraded" — including
-// for coalesced followers, who share the leader's response value but
-// never ran the tier decision themselves.
-func isDegradedResponse(v any) bool {
-	switch r := v.(type) {
-	case *diameterResponse:
-		return r.Degraded != ""
-	case *delayCDFResponse:
-		return r.Degraded != ""
-	}
-	return false
 }
 
 // writeJSON is the only route a JSON response takes: json.Marshal,
@@ -502,8 +410,6 @@ func writeJSON(w http.ResponseWriter, tc *obs.Trace, code int, v any) {
 		tc.Bytes = int64(n)
 		if err != nil {
 			tc.Disposition = obs.DispError
-		} else if code == http.StatusOK && tc.Disposition == obs.DispOK && isDegradedResponse(v) {
-			tc.Disposition = obs.DispDegraded
 		}
 	}
 }

@@ -7,9 +7,8 @@ import (
 // srvMetrics are the serving layer's observability handles, nil (free
 // no-ops) until a command wires a registry. They watch the three things
 // that decide whether the daemon is healthy under load: the admission
-// gate (inflight, queue depth, sheds), the degradation rate (how often
-// the bounds tier answered for the exact tier), and per-request
-// latency. The drain invariant — every started request finishes — is
+// gate (inflight, queue depth, sheds), expired deadlines, and
+// per-request latency. The drain invariant — every started request finishes — is
 // checkable from requests_started/finished alone.
 var srvMetrics struct {
 	started  *obs.Counter // server_requests_started_total
@@ -24,7 +23,6 @@ var srvMetrics struct {
 	queueWait  *obs.Histogram // server_queue_wait_seconds
 	latency    *obs.Histogram // server_request_seconds
 
-	degraded  *obs.Counter // server_degraded_total
 	deadlines *obs.Counter // server_deadline_exceeded_total
 	panics    *obs.Counter // server_panics_total
 
@@ -54,10 +52,8 @@ func init() {
 		srvMetrics.latency = r.Histogram("server_request_seconds",
 			"end-to-end request latency, admission wait included",
 			[]float64{1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 5, 30})
-		srvMetrics.degraded = r.Counter("server_degraded_total",
-			"queries answered by the bounds tier instead of the exact tier")
 		srvMetrics.deadlines = r.Counter("server_deadline_exceeded_total",
-			"requests that hit their deadline with no degraded answer available")
+			"requests that hit their deadline (answered 504)")
 		srvMetrics.panics = r.Counter("server_panics_recovered_total",
 			"handler panics recovered (request failed with 500, daemon survived)")
 		srvMetrics.flights = r.Counter("server_flights_total",

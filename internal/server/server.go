@@ -3,8 +3,8 @@
 // path(src,dst,t), the (1−ε)-diameter, per-hop delay CDFs — from a
 // warm registry of loaded datasets.
 //
-// Robustness is the architecture, in four layers applied to every
-// query in order:
+// Every answer is exact. Robustness is the architecture, in three
+// layers applied to every query in order:
 //
 //  1. Admission: a bounded concurrency semaphore with a bounded wait
 //     queue and a queue-wait deadline. Offered load beyond the queue is
@@ -15,14 +15,10 @@
 //     MaxDeadline) that propagates as a context through the admission
 //     wait, the analysis aggregation loops (Study.WithContext), and
 //     path reconstruction — an expired request stops consuming CPU at
-//     the next poll.
-//  3. Degradation: diameter-style queries whose exact computation hits
-//     the deadline — or that arrive while the server is saturated —
-//     answer from the internal/reach certificate tier instead:
-//     certified lo/hi bounds marked "degraded":"bounds-only". Degraded
-//     answers are sound (the bracket contains the exact answer); only
-//     tightness is lost.
-//  4. Containment and lifecycle: per-request panic recovery (500, stack
+//     the next poll and fails with 504. LoadDataset answers the default
+//     diameter and delay-CDF queries at load, so those read warm
+//     curves from boot.
+//  3. Containment and lifecycle: per-request panic recovery (500, stack
 //     logged, daemon survives), coalescing of identical in-flight
 //     queries keyed by checkpoint-style fingerprints, /healthz +
 //     /readyz, and SIGTERM drain — stop accepting, finish or cancel
@@ -73,9 +69,9 @@ type Config struct {
 	SlowThreshold time.Duration
 	// Recorder is the flight-recorder capacity in traces: the last N
 	// completed requests stay inspectable at /debug/requests, with
-	// tail-biased retention (errors, sheds, degradations and the
-	// slowest request per endpoint survive a firehose of healthy
-	// traffic). 0 disables the recorder.
+	// tail-biased retention (errors, sheds and the slowest request per
+	// endpoint survive a firehose of healthy traffic). 0 disables the
+	// recorder.
 	Recorder int
 }
 
@@ -112,13 +108,10 @@ type Server struct {
 	finished atomic.Int64
 }
 
-// New builds a Server. baseCtx is the daemon's lifetime context: every
-// request context descends from it, so cancelling it cancels all
-// in-flight work.
-func New(baseCtx context.Context, cfg Config) *Server {
-	if baseCtx == nil {
-		baseCtx = context.Background()
-	}
+// New builds a Server. Request contexts end only at their own deadline
+// or at Drain's forced cancel: a shutdown signal starts a drain, it does
+// not cancel in-flight work.
+func New(cfg Config) *Server {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4
 	}
@@ -133,7 +126,7 @@ func New(baseCtx context.Context, cfg Config) *Server {
 	if cfg.MaxDeadline <= 0 {
 		cfg.MaxDeadline = 30 * time.Second
 	}
-	reqCtx, cancel := context.WithCancel(baseCtx)
+	reqCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
 		adm:        newAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.QueueWait),
@@ -234,7 +227,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	}
 	if f.Disposition != "" {
 		if _, ok := obs.ParseDisposition(f.Disposition); !ok {
-			writeJSONError(w, nil, badRequest("bad disposition %q: want ok|shed|degraded|error", f.Disposition))
+			writeJSONError(w, nil, badRequest("bad disposition %q: want ok|shed|error", f.Disposition))
 			return
 		}
 	}

@@ -72,7 +72,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestTraceIDRoundTrip(t *testing.T) {
-	ds := testDataset(t, LoadOptions{SkipPrewarm: true})
+	ds := testDataset(t)
 	log := &logBuf{}
 	s, ts := newTestServer(t, Config{Recorder: 32, AccessLog: log}, ds)
 	_ = s
@@ -127,7 +127,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 }
 
 func TestDebugRequestsEndpoint(t *testing.T) {
-	ds := testDataset(t, LoadOptions{SkipPrewarm: true})
+	ds := testDataset(t)
 	_, ts := newTestServer(t, Config{Recorder: 32}, ds)
 
 	for i := 0; i < 3; i++ {
@@ -168,7 +168,7 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 }
 
 func TestDebugRequestsAbsentWithoutRecorder(t *testing.T) {
-	ds := testDataset(t, LoadOptions{SkipPrewarm: true})
+	ds := testDataset(t)
 	_, ts := newTestServer(t, Config{}, ds)
 	resp, err := http.Get(ts.URL + "/debug/requests")
 	if err != nil {
@@ -181,13 +181,10 @@ func TestDebugRequestsAbsentWithoutRecorder(t *testing.T) {
 }
 
 // TestTraceDispositions drives one request through each terminal
-// classification — ok, shed, degraded, error — over HTTP and asserts
-// both the access log and the flight recorder agree. Degraded uses a
-// handler that returns a bounds-tier-shaped response deterministically
-// (the degradation mechanics themselves are covered by the deadline and
-// saturation tests); shed uses a full queue.
+// classification — ok, shed, error — over HTTP and asserts both the
+// access log and the flight recorder agree; shed uses a full queue.
 func TestTraceDispositions(t *testing.T) {
-	ds := testDataset(t, LoadOptions{SkipPrewarm: true})
+	ds := testDataset(t)
 	log := &logBuf{}
 	s, _ := newTestServer(t, Config{
 		MaxInflight: 1, MaxQueue: -1, // no wait queue: overflow sheds immediately
@@ -203,10 +200,6 @@ func TestTraceDispositions(t *testing.T) {
 		enterOnce.Do(func() { close(entered) })
 		<-gate
 		return map[string]bool{"ok": true}, nil
-	}))
-	mux.Handle("/deg", s.endpoint("deg", true, func(ctx context.Context, _ *Dataset, _ *query) (any, error) {
-		return &diameterResponse{Dataset: "synth", Degraded: "bounds-only", Reason: "deadline",
-			DiameterLo: 1, DiameterHi: 5}, nil
 	}))
 	mux.Handle("/boom", s.endpoint("boom", true, func(ctx context.Context, _ *Dataset, _ *query) (any, error) {
 		return nil, badRequest("no")
@@ -235,18 +228,14 @@ func TestTraceDispositions(t *testing.T) {
 	close(gate)
 	<-slowDone
 
-	for _, url := range []string{"/deg?dataset=synth", "/boom?dataset=synth"} {
-		resp, err := http.Get(ts.URL + url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	resp, err = http.Get(ts.URL + "/boom?dataset=synth")
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp.Body.Close()
 
-	want := map[string]string{
-		"slow": "ok", "path": "shed", "deg": "degraded", "boom": "error",
-	}
-	waitFor(t, "all four dispositions in the access log", func() bool {
+	want := map[string]string{"slow": "ok", "path": "shed", "boom": "error"}
+	waitFor(t, "all three dispositions in the access log", func() bool {
 		got := map[string]string{}
 		for _, line := range log.lines(t) {
 			if line["ev"] == "req" {
@@ -263,7 +252,7 @@ func TestTraceDispositions(t *testing.T) {
 
 	// The recorder's tail retention holds each non-ok disposition too.
 	rec := s.tracer.Recorder()
-	for _, disp := range []string{"shed", "degraded", "error"} {
+	for _, disp := range []string{"shed", "error"} {
 		snaps := rec.Snapshot(obs.TraceFilter{Disposition: disp})
 		if len(snaps) == 0 {
 			t.Fatalf("recorder holds no %s trace", disp)
@@ -282,7 +271,7 @@ func TestTraceDispositions(t *testing.T) {
 }
 
 func TestSlowTraceDump(t *testing.T) {
-	ds := testDataset(t, LoadOptions{SkipPrewarm: true})
+	ds := testDataset(t)
 	log := &logBuf{}
 	_, ts := newTestServer(t, Config{AccessLog: log, SlowThreshold: time.Nanosecond}, ds)
 

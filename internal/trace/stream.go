@@ -153,16 +153,22 @@ const DefaultStreamBatch = 4096
 // a timeline.Appender does. Either callback may be nil, and a non-nil
 // callback error aborts the stream and is returned as-is.
 //
-// Per-line validation and error attribution match Read exactly, with
-// two deliberate differences forced by the bounded-memory contract:
-// header lines are only honoured before the first contact (Read lets a
-// late header override an early one; a streaming consumer has already
-// acted on the header, so a late one is a hard error), and when the
-// "# nodes" header is absent the node count is reported as -1 instead
-// of inferred from the body (Read infers it after buffering the whole
-// file). Device-range and self-contact violations — Read's
-// Validate-time checks — are reported at the offending line, with the
-// range check skipped when the node count is unknown.
+// On an input that declares "# nodes" and has no header line after
+// the first contact, Stream accepts exactly what Read accepts, with
+// the same header and the same contacts in order (FuzzReadTrace checks
+// both directions). Outside that class the differences are deliberate,
+// forced by the bounded-memory contract: header lines are only honoured before
+// the first contact (Read lets a late header override an early one; a
+// streaming consumer has already acted on the header, so a late one is
+// a hard error), and without a "# nodes" header the node count is
+// reported as -1 instead of inferred from the body (Read infers it
+// after buffering the whole file), so the device-range and external-ID
+// checks, which need the count, are skipped. Per-line validation
+// matches Read's. The checks Read makes after the whole body run
+// earlier: external IDs and the window (end not before start) when the
+// header completes, device-range and self-contact violations at the
+// offending line. On an input with several faults the two may
+// therefore report different ones.
 func Stream(r io.Reader, batchSize int, header func(Header) error, emit func([]Contact) error) error {
 	if batchSize <= 0 {
 		batchSize = DefaultStreamBatch
@@ -175,6 +181,9 @@ func Stream(r io.Reader, batchSize int, header func(Header) error, emit func([]C
 		headerDone = true
 		if err := h.checkExternal(); err != nil {
 			return err
+		}
+		if h.End < h.Start {
+			return fmt.Errorf("trace %q: window end %v before start %v", h.Name, h.End, h.Start)
 		}
 		if header != nil {
 			return header(h)

@@ -11,10 +11,11 @@
 #
 # The diameter stage records the exact ε-sweep/diameter workload
 # (DiameterSweep) next to ReachBounds: one certifying-resolution
-# envelope build plus the certified diameter bounds, the cost a daemon
-# dataset load pays once for its degraded answers. Records up to
-# BENCH_6 also carried "tiered_vs_exact", the speedup of a reach-backed
-# fast tier inside the exact analysis; that tier no longer exists.
+# envelope build plus the certified diameter bounds, the cost of
+# cmd/diameter -approx; the daemon no longer builds envelopes. Records
+# up to BENCH_6 also carried "tiered_vs_exact", the speedup of a
+# reach-backed fast tier inside the exact analysis; that tier no
+# longer exists.
 #
 # The ingest stage records the streaming pipeline: the marginal cost of
 # Extending a warm engine by the final 1% of a trace next to the cold
@@ -30,7 +31,8 @@
 # drives an open-loop RPS ramp through it (default 8:1:1 query mix).
 # The validated LOADGEN_REPORT.json is embedded as "loadgen" — one
 # latency-vs-rate point per ramp step with per-query-type p50/p90/p99,
-# throughput, and shed/degraded/error counts.
+# throughput, and shed/error counts (records up to BENCH_6 also count
+# degraded bounds-only answers, which the daemon no longer serves).
 #
 # Usage: scripts/bench.sh [output.json]
 # Without an argument the output is BENCH_<N+1>.json, one past the

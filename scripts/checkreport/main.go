@@ -169,7 +169,7 @@ func checkLoadgen(path string, data []byte, minPhases int, requireShed bool) {
 				fail("%s: phase %q type %s: unordered quantiles p50=%g p90=%g p99=%g",
 					path, ph.Name, kind, ts.P50MS, ts.P90MS, ts.P99MS)
 			}
-			if ts.Shed+ts.Degraded+ts.Errors > ts.Count {
+			if ts.Shed+ts.Errors > ts.Count {
 				fail("%s: phase %q type %s: dispositions exceed count: %+v",
 					path, ph.Name, kind, ts)
 			}

@@ -16,7 +16,7 @@
 // Usage:
 //
 //	go run ./scripts/checktrace access.log
-//	go run ./scripts/checktrace -require-dispositions ok,shed,degraded access.log
+//	go run ./scripts/checktrace -require-dispositions ok,shed,error access.log
 //
 // Exits 1 with a line-attributed diagnostic on the first violation;
 // CI's server-smoke and loadgen-smoke jobs use it as the tracing gate.
@@ -206,7 +206,7 @@ func checkDump(path string, n int, tl *traceLine) {
 
 func keys(m map[string]bool) []string {
 	var out []string
-	for _, d := range []string{"ok", "shed", "degraded", "error"} {
+	for _, d := range []string{"ok", "shed", "error"} {
 		if m[d] {
 			out = append(out, d)
 		}

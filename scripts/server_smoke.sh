@@ -3,17 +3,19 @@
 #
 # Builds opportunetd, loads a generated infocom05-class trace on an
 # ephemeral port, and drives the full serving contract through real
-# HTTP: warm queries answer exactly, a 1 ms deadline degrades the same
-# query to certified bounds that contain the exact answer, a burst of
+# HTTP: every answer is exact; the default queries, answered at load,
+# fit a 50 ms deadline right after boot and agree with /v1/datasets; a
+# fresh-grid query past a 1 ms deadline fails with 504; a burst of
 # uncoalescable queries against a single execution slot is shed with
-# 429 + Retry-After, the serving metric families are live on /metrics
-# with the shed and degraded counters moved, and SIGTERM drains to exit
-# 0 with no request left in flight (asserted from the daemon's own
+# 429 + Retry-After; the serving metric families are live on /metrics
+# with the shed and deadline counters moved; and SIGTERM sent while a
+# cold query computes lets that query finish with 200, then drains to
+# exit 0 with no request left in flight (asserted from the daemon's own
 # drain accounting).
 #
 # The tracing contract rides the same run: a client X-Trace-Id round
 # trips through the response header into the access log, the flight
-# recorder at /debug/requests holds the shed and degraded requests
+# recorder at /debug/requests holds the shed and error requests
 # mid-run, slow requests dump full event traces, and scripts/checktrace
 # validates the whole access log's schema and stage accounting.
 #
@@ -64,28 +66,26 @@ curl -fsS "http://$addr/readyz" > /dev/null || fail "/readyz not ready after loa
 curl -fsS "http://$addr/v1/datasets" | grep -q '"infocom05"' \
     || fail "/v1/datasets does not list the loaded trace"
 
-# ---- degradation before exact ---------------------------------------
-# A 1 ms deadline cannot fit the cold exact integration, so the daemon
-# must answer from the prewarmed bounds tier and say so. Asking before
-# any exact query keeps this deterministic: nothing is cached yet.
-curl -sS "http://$addr/v1/diameter?deadline_ms=1" > "$TMP/degraded.json"
-grep -q '"degraded":"bounds-only"' "$TMP/degraded.json" \
-    || fail "1 ms diameter did not degrade: $(cat "$TMP/degraded.json")"
-lo=$(sed -n 's/.*"diameter_lo":\([0-9]*\).*/\1/p' "$TMP/degraded.json")
-hi=$(sed -n 's/.*"diameter_hi":\([0-9]*\).*/\1/p' "$TMP/degraded.json")
-[ -n "$lo" ] && [ -n "$hi" ] || fail "degraded answer carries no bounds: $(cat "$TMP/degraded.json")"
+# ---- the default queries are warm from load -------------------------
+# The load answered the default diameter and delay CDFs, so before any
+# other query both fit a 50 ms deadline, exactly, and the diameter is
+# the one /v1/datasets reports.
+curl -fsS "http://$addr/v1/datasets" > "$TMP/datasets.json" || fail "/v1/datasets failed"
+dd=$(sed -n 's/.*"diameter":\([0-9]*\).*/\1/p' "$TMP/datasets.json")
+[ -n "$dd" ] || fail "/v1/datasets reports no diameter: $(cat "$TMP/datasets.json")"
+curl -fsS "http://$addr/v1/diameter?deadline_ms=50" > "$TMP/exact.json" \
+    || fail "default diameter missed a 50 ms deadline right after load"
+d=$(sed -n 's/.*"diameter":\([0-9]*\).*/\1/p' "$TMP/exact.json")
+[ "$d" = "$dd" ] || fail "/v1/diameter answered $d, /v1/datasets says $dd: $(cat "$TMP/exact.json")"
+curl -fsS "http://$addr/v1/delaycdf?deadline_ms=50" > "$TMP/cdf.json" \
+    || fail "default delaycdf missed a 50 ms deadline right after load"
+grep -q '"degraded"' "$TMP/exact.json" "$TMP/cdf.json" && fail "a response carries a degraded field"
+echo "server_smoke: default diameter $d and delay CDFs served warm within 50 ms"
 
-curl -sS "http://$addr/v1/delaycdf?hops=1,0&deadline_ms=1" > "$TMP/cdf.json"
-grep -q '"degraded":"bounds-only"' "$TMP/cdf.json" \
-    || fail "1 ms delaycdf did not degrade: $(head -c 300 "$TMP/cdf.json")"
-
-# ---- warm exact queries ---------------------------------------------
-curl -fsS "http://$addr/v1/diameter" > "$TMP/exact.json" || fail "exact diameter query failed"
-d=$(grep -o '"diameter":[0-9]*' "$TMP/exact.json" | head -1 | cut -d: -f2)
-[ -n "$d" ] || fail "no diameter in exact answer: $(cat "$TMP/exact.json")"
-awk -v lo="$lo" -v d="$d" -v hi="$hi" 'BEGIN { exit !(lo <= d && d <= hi) }' \
-    || fail "degraded bounds [$lo, $hi] do not contain the exact diameter $d"
-echo "server_smoke: exact diameter $d inside degraded bounds [$lo, $hi]"
+# ---- an expired deadline is a 504 -----------------------------------
+# A fresh grid integrates new curves, which cannot fit 1 ms.
+code=$(curl -sS -o "$TMP/late.json" -w '%{http_code}' "http://$addr/v1/diameter?points=97&deadline_ms=1")
+[ "$code" = 504 ] || fail "1 ms fresh-grid diameter answered $code, want 504: $(cat "$TMP/late.json")"
 
 curl -fsS "http://$addr/v1/path?src=1&dst=5&t=0&reconstruct=1" > "$TMP/path.json" \
     || fail "path query failed"
@@ -135,31 +135,31 @@ echo "server_smoke: overload shed $shed of 20 queries with 429, served $served"
 
 # ---- the flight recorder explains the tail mid-run ------------------
 # With the burst settled, /debug/requests must still hold the shed and
-# degraded requests (tail-biased retention keeps every non-ok trace),
-# and the disposition filter must narrow to exactly that class.
+# error requests (tail-biased retention keeps every non-ok trace), and
+# the disposition filter must narrow to exactly that class.
 curl -fsS "http://$addr/debug/requests" > "$OUTDIR/debug_requests.json" \
     || fail "/debug/requests unavailable"
 grep -q '"disposition":"shed"' "$OUTDIR/debug_requests.json" \
     || fail "recorder holds no shed request after the burst"
-grep -q '"disposition":"degraded"' "$OUTDIR/debug_requests.json" \
-    || fail "recorder holds no degraded request"
+grep -q '"disposition":"error"' "$OUTDIR/debug_requests.json" \
+    || fail "recorder holds no error request after the 504"
 curl -fsS "http://$addr/debug/requests?disposition=shed" > "$TMP/shed.json"
 grep -q '"disposition":"shed"' "$TMP/shed.json" || fail "disposition filter lost the shed traces"
 grep -q '"disposition":"ok"' "$TMP/shed.json" && fail "disposition=shed filter leaked ok traces"
-echo "server_smoke: /debug/requests holds shed + degraded traces mid-run"
+echo "server_smoke: /debug/requests holds shed + error traces mid-run"
 
 # ---- serving metrics are live ---------------------------------------
 curl -fsS "http://$obsaddr/metrics" > "$OUTDIR/server_metrics.txt"
 for fam in server_requests_started_total server_requests_finished_total \
            server_admitted_total server_shed_queue_full_total server_shed_wait_total \
            server_inflight server_queue_depth server_queue_wait_seconds \
-           server_request_seconds server_degraded_total server_deadline_exceeded_total \
+           server_request_seconds server_deadline_exceeded_total \
            server_panics_recovered_total server_flights_total server_coalesced_total; do
     grep -q "^# TYPE $fam " "$OUTDIR/server_metrics.txt" \
         || fail "metric family $fam missing from /metrics"
 done
 for fam in server_requests_started_total server_admitted_total \
-           server_shed_queue_full_total server_degraded_total; do
+           server_shed_queue_full_total server_deadline_exceeded_total; do
     awk -v fam="$fam" '$1 == fam { found = 1; if ($2 + 0 > 0) ok = 1 }
         END { exit !(found && ok) }' "$OUTDIR/server_metrics.txt" \
         || fail "counter $fam never moved"
@@ -170,7 +170,28 @@ awk '$1 == "server_inflight" && $2 + 0 != 0 { bad = 1 } END { exit bad }' \
     || fail "server_inflight nonzero after the burst settled"
 
 # ---- SIGTERM drains cleanly -----------------------------------------
+# SIGTERM starts the drain; it must not cancel in-flight work. A cold
+# query (hop bounds 8-18 and unbounded on an unused 512-point grid,
+# seconds of work) is computing when the signal arrives, and must still
+# answer 200 inside the -drain budget.
+curl -sS -o "$TMP/drain_q.json" -w '%{http_code}' \
+    "http://$addr/v1/delaycdf?hops=8,9,10,11,12,13,14,15,16,17,18,0&points=512" \
+    > "$TMP/drain_code.txt" &
+qpid=$!
+busy=0
+for _ in $(seq 1 100); do
+    if curl -fsS "http://$obsaddr/metrics" | awk '$1 == "server_inflight" && $2 + 0 == 1 { f = 1 } END { exit !f }'; then
+        busy=1
+        break
+    fi
+    sleep 0.05
+done
+[ "$busy" = 1 ] || fail "the cold query never showed as in flight"
 kill -TERM "$pid"
+wait "$qpid" || true
+[ "$(cat "$TMP/drain_code.txt")" = 200 ] \
+    || fail "query in flight at SIGTERM answered $(cat "$TMP/drain_code.txt"), want 200: $(head -c 300 "$TMP/drain_q.json")"
+grep -q '"curves"' "$TMP/drain_q.json" || fail "query in flight at SIGTERM returned no curves"
 rc=0
 wait "$pid" || rc=$?
 [ "$rc" = 0 ] || fail "daemon exited $rc after SIGTERM, want 0"
@@ -181,13 +202,13 @@ finished=$(echo "$drained" | sed -n 's/.*finished=\([0-9]*\).*/\1/p')
 inflight=$(echo "$drained" | sed -n 's/.*inflight=\([0-9]*\).*/\1/p')
 [ "$started" = "$finished" ] && [ "$inflight" = 0 ] \
     || fail "drain leaked requests: $drained"
-echo "server_smoke: drained clean, started=$started finished=$finished inflight=$inflight"
+echo "server_smoke: in-flight query answered 200 across SIGTERM; drained clean, started=$started finished=$finished inflight=$inflight"
 
 # ---- the access log validates end to end ----------------------------
 # Every line on schema, stage partitions inside totals, slow dumps
 # monotone and attributable; the run must have produced all three
-# interesting dispositions plus at least one slow trace dump.
-"$TMP/checktrace" -require-dispositions ok,degraded,shed "$TMP/access.log" \
+# dispositions plus at least one slow trace dump.
+"$TMP/checktrace" -require-dispositions ok,shed,error "$TMP/access.log" \
     || fail "access log failed checktrace validation"
 grep -q '"ev":"trace"' "$TMP/access.log" \
     || fail "no slow-request trace dump despite -slow-ms 1"
