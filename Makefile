@@ -75,18 +75,20 @@ full-check:
 # single target): the trace parser never panics, rejects non-finite
 # times, round-trips what it accepts, and agrees with the streaming
 # parser on which inputs to accept; the Pareto set keeps its
-# staircase invariant; the one-pass success curve matches the
-# per-budget loop bit for bit; core's hop-bounded and unbounded
-# frontiers match the flood oracle's rows; the HTTP query surface never
-# answers 500 or non-JSON, echoes trace IDs safely, and leaks no
-# request; the reach envelopes and diameter brackets contain core's
-# exact answers on tiny traces, directed or not; the changed-set flood
-# rounds match the dense Bellman-Ford bit for bit. FuzzAppendMerge runs
-# in stream-check.
+# staircase invariant; the one-pass Delta == 0 success curve matches
+# the per-budget loop bit for bit, and curves with a per-hop delay
+# match the union-of-intervals measure; core's hop-bounded and
+# unbounded frontiers match the flood oracle's rows; the HTTP query
+# surface never answers 500 or non-JSON, echoes trace IDs safely, and
+# leaks no request; the reach envelopes and diameter brackets contain
+# core's exact answers on tiny traces, directed or not; the changed-set
+# flood rounds match the dense Bellman-Ford bit for bit. FuzzAppendMerge
+# and FuzzExtendSplits run in stream-check.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime 10s
 	$(GO) test ./internal/core -run FuzzParetoSet -fuzz FuzzParetoSet -fuzztime 10s
 	$(GO) test ./internal/core -run FuzzSuccessCurve -fuzz FuzzSuccessCurve -fuzztime 10s
+	$(GO) test ./internal/analysis -run FuzzDeltaCurve -fuzz FuzzDeltaCurve -fuzztime 10s
 	$(GO) test ./internal/core -run FuzzComputeVsFlood -fuzz FuzzComputeVsFlood -fuzztime 10s
 	$(GO) test ./internal/server -run FuzzServeQuery -fuzz FuzzServeQuery -fuzztime 10s
 	$(GO) test ./internal/reach -run FuzzReachBounds -fuzz FuzzReachBounds -fuzztime 10s
@@ -112,13 +114,17 @@ obs-smoke:
 # Streaming gate: segmented-timeline and incremental-engine equivalence
 # under the race detector — any split of a trace into append batches
 # (random batch sizes, seal cadences, epochs, out-of-order appends)
-# must reproduce the one-shot build byte-identically at workers 1 and 8,
-# and fuzzed seal, compaction and eviction must leave a snapshot equal
-# to a fresh index and to the brute-force reference over its contacts.
+# must reproduce the one-shot build byte-identically at workers 1 and 8;
+# fuzzed seal, compaction and eviction must leave a snapshot equal to a
+# fresh index and to the brute-force reference over its contacts
+# (FuzzAppendMerge); and under fuzzed batch splits, seal cadences and
+# delay models, every Engine.Extend epoch must match a cold ComputeView
+# of its snapshot (FuzzExtendSplits).
 stream-check:
 	$(GO) test -race -timeout 20m -run 'StreamCheck|Appender|Segment|Extend|NewStudyResult|GenerateStream|Stream' \
 		./internal/timeline ./internal/core ./internal/analysis ./internal/trace ./internal/tracegen
 	$(GO) test ./internal/timeline -run FuzzAppendMerge -fuzz FuzzAppendMerge -fuzztime 10s
+	$(GO) test ./internal/core -run FuzzExtendSplits -fuzz FuzzExtendSplits -fuzztime 10s
 
 # Serving gate: opportunetd end-to-end over real HTTP — exact answers
 # only, the default queries warm from load within a 50 ms deadline, a

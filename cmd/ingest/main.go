@@ -78,7 +78,7 @@ func main() {
 	evict := flag.Float64("evict", 0, "evict segments ending more than this many trace-seconds before the newest end (0 = keep everything)")
 	nodes := flag.Int("nodes", 0, "device count for feeds without a '# nodes' header")
 	maxRetries := flag.Int("max-retries", 0, "with -listen: re-accept a dropped feed up to this many times per drop, with exponential backoff and jitter (0 = end the stream on first drop)")
-	delta := flag.Float64("delta", 0, "per-hop transmission delay (engine TransmitDelay)")
+	delta := flag.Float64("delta", 0, "per-hop transmission delay in seconds (engine TransmitDelay); the study stays exact")
 	directed := flag.Bool("directed", false, "treat contacts as usable only from A to B")
 	maxhops := flag.Int("maxhops", 0, "bound the number of contacts per path (0 = fixpoint)")
 	workers := flag.Int("workers", 0, "worker goroutines for the engine (0 = all cores)")

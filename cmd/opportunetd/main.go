@@ -65,7 +65,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address (:0 picks a free port)")
 	workers := flag.Int("workers", 0, "worker goroutines for loading and per-query aggregation (0 = all cores)")
 	directed := flag.Bool("directed", false, "use contacts only in their recorded orientation")
-	delta := flag.Float64("delta", 0, "per-hop transmission delay in seconds")
+	delta := flag.Float64("delta", 0, "per-hop transmission delay in seconds; diameters and delay CDFs stay exact")
 	maxHops := flag.Int("maxhops", 0, "hop bound for the path computation (0 = run to the fixpoint)")
 	points := flag.Int("points", 60, "default delay-grid resolution (its default diameter and delay CDFs are computed at load)")
 	eps := flag.Float64("eps", 0.01, "default diameter confidence parameter (its diameter is computed at load)")

@@ -9,7 +9,9 @@
 // uniform over the observation window, with unreachable cases counted in
 // the denominator. The integration over starting times is exact — the
 // delivery functions are piecewise, so no per-second enumeration is
-// needed.
+// needed. With a per-hop transmission delay Δ the measure at budget d
+// is the Δ = 0 measure at d − Δ over the paths of at most ⌊d/Δ⌋ hops,
+// so one kernel, core.Frontier.SuccessCurve, integrates every curve.
 //
 // The per-pair loops behind every aggregate fan out across the worker
 // count carried by core.Options. Parallel results are byte-identical to
@@ -82,15 +84,14 @@ type studyState struct {
 	curves    map[curveKey][]float64  // (memo bound, grid, window) -> summed success measure
 
 	// sorted holds every pair's archive sorted by (LD, EA, Hop), pair i
-	// at sorted[pairOff[i]:pairOff[i+1]] (Delta == 0 only). Built on
-	// the first frontier miss, dropped by ClearCaches.
+	// at sorted[pairOff[i]:pairOff[i+1]]. Built on the first frontier
+	// miss, dropped by ClearCaches.
 	sorted []core.Entry
 
-	// pairOff is the arena offset table for per-pair frontier building
-	// (Delta == 0 only): pair i's slot is arena[pairOff[i]:pairOff[i+1]],
-	// sized by the pair's archive length. Computed once per study — it
-	// depends only on the immutable Result — and deliberately survives
-	// ClearCaches.
+	// pairOff is the arena offset table for per-pair frontier building:
+	// pair i's slot is arena[pairOff[i]:pairOff[i+1]], sized by the
+	// pair's archive length. Computed once per study — it depends only
+	// on the immutable Result — and deliberately survives ClearCaches.
 	pairOff []int
 }
 
@@ -246,9 +247,9 @@ func (s *Study) memoBound(hopBound int) int {
 
 // sortedArchives returns (sorting on first use) every analyzed pair's
 // archive sorted by (LD, EA, Hop), in one arena laid out by
-// pairOffsets, for the Delta == 0 model. The arena is as large as all
-// archives together and lives until ClearCaches. A sort cancelled
-// through the study context returns ok false and is never kept.
+// pairOffsets. The arena is as large as all archives together and
+// lives until ClearCaches. A sort cancelled through the study context
+// returns ok false and is never kept.
 func (s *Study) sortedArchives() (sorted []core.Entry, ok bool) {
 	st := s.state
 	st.mu.Lock()
@@ -273,16 +274,16 @@ func (s *Study) sortedArchives() (sorted []core.Entry, ok bool) {
 	return st.sorted, true
 }
 
-// frontiersFor returns (building and caching on first use) the frontier
-// of every analyzed pair under the given hop bound, memoized under
-// memoBound. For the Delta == 0 model every pair's archive is sorted
-// once per study (sortedArchives); each bound's frontiers are then a
+// frontiersFor returns (building and caching on first use) the Delta
+// == 0 staircase of every analyzed pair under the given hop bound,
+// memoized under memoBound. Every pair's archive is sorted once per
+// study (sortedArchives); each bound's frontiers are then a
 // filter-and-sweep of it into a pooled archive-sized scratch arena,
 // compacted into an exact-size one (compactFrontiers): two allocations
 // per hop bound with the frontier slice. Each pair owns a disjoint
 // slot, so the parallel build stays race-free and byte-identical at
-// every worker count. It is safe for concurrent use;
-// when two goroutines race on an uncached bound, both build the same
+// every worker count. It is safe for concurrent use; when two
+// goroutines race on an uncached bound, both build the same
 // deterministic value and one copy wins. When the study's context is
 // cancelled mid-build, the incomplete slice is returned uncached —
 // Err() tells callers to discard it — and its scratch is not pooled,
@@ -299,31 +300,19 @@ func (s *Study) frontiersFor(hopBound int) []core.Frontier {
 	st.mu.Unlock()
 	anMetrics.memoMisses.Inc()
 	fs := make([]core.Frontier, len(s.Pairs))
-	var build func(i int)
-	var scratch []core.Entry
-	if s.Result.Delta == 0 {
-		sorted, ok := s.sortedArchives()
-		if !ok {
-			return fs
-		}
-		off := s.pairOffsets()
-		scratch = getFrontierScratch(off[len(s.Pairs)])
-		build = func(i int) {
-			fs[i] = core.FrontierFromSorted(sorted[off[i]:off[i+1]], hopBound, scratch[off[i]:off[i+1]])
-		}
-	} else {
-		build = func(i int) {
-			p := s.Pairs[i]
-			fs[i] = s.Result.Frontier(p[0], p[1], hopBound)
-		}
-	}
-	if err := par.DoCtx(s.ctx, len(s.Pairs), s.workers, build); err != nil {
+	sorted, ok := s.sortedArchives()
+	if !ok {
 		return fs
 	}
-	if s.Result.Delta == 0 {
-		compactFrontiers(fs)
-		putFrontierScratch(scratch)
+	off := s.pairOffsets()
+	scratch := getFrontierScratch(off[len(s.Pairs)])
+	if err := par.DoCtx(s.ctx, len(s.Pairs), s.workers, func(i int) {
+		fs[i] = core.FrontierFromSorted(sorted[off[i]:off[i+1]], hopBound, scratch[off[i]:off[i+1]])
+	}); err != nil {
+		return fs
 	}
+	compactFrontiers(fs)
+	putFrontierScratch(scratch)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if prev, ok := st.frontiers[hopBound]; ok {
@@ -464,13 +453,10 @@ func (s *Study) successCurve(hopBound int, grid []float64, a, b float64) []float
 }
 
 // successCurveBuf is successCurve drawing its pairs × grid integration
-// buffer from sc. On a cache miss each pair's curve is one
-// core.Frontier.SuccessCurve pass over the ascending budgets: an
-// unsorted grid is integrated as a stably sorted copy and scattered
-// back through the permutation, so the cache key stays the grid as
-// given. The per-pair integrations fan out across workers; the
-// reduction runs in pair order, so the curve is byte-identical at every
-// worker count and to a per-budget SuccessWithin loop.
+// buffer from sc. On a cache miss integrateCurve walks the ascending
+// budgets: an unsorted grid is integrated as a stably sorted copy and
+// scattered back through the permutation, so the cache key stays the
+// grid as given. A cancelled integration is returned uncached.
 func (s *Study) successCurveBuf(hopBound int, grid []float64, a, b float64, sc *curveScratch) []float64 {
 	hopBound = s.memoBound(hopBound)
 	key := makeCurveKey(hopBound, grid, a, b)
@@ -484,7 +470,6 @@ func (s *Study) successCurveBuf(hopBound int, grid []float64, a, b float64, sc *
 	st.mu.Unlock()
 	anMetrics.curveMisses.Inc()
 
-	fs := s.frontiersFor(hopBound)
 	budgets, perm := grid, []int(nil)
 	if !slices.IsSorted(grid) {
 		perm = make([]int, len(grid))
@@ -497,26 +482,15 @@ func (s *Study) successCurveBuf(hopBound int, grid []float64, a, b float64, sc *
 			budgets[j] = grid[i]
 		}
 	}
-	ng := len(grid)
-	flat := sc.get(len(fs) * ng)
-	cancelled := par.DoCtx(s.ctx, len(fs), s.workers, func(i int) {
-		fs[i].SuccessCurve(budgets, a, b, flat[i*ng:(i+1)*ng])
-	}) != nil
-	sum := make([]float64, ng)
-	for i := 0; i < len(fs); i++ {
-		row := flat[i*ng : (i+1)*ng]
-		for gi, v := range row {
-			sum[gi] += v
-		}
-	}
+	sum, complete := s.integrateCurve(hopBound, budgets, a, b, sc.get(len(s.Pairs)*len(grid)))
 	if perm != nil {
 		sorted := sum
-		sum = make([]float64, ng)
+		sum = make([]float64, len(grid))
 		for j, i := range perm {
 			sum[i] = sorted[j]
 		}
 	}
-	if cancelled {
+	if !complete {
 		// Incomplete integration: hand it back uncached so a later
 		// (uncancelled) caller rebuilds the true curve.
 		return sum
@@ -529,6 +503,79 @@ func (s *Study) successCurveBuf(hopBound int, grid []float64, a, b float64, sc *
 	}
 	st.curves[key] = sum
 	return sum
+}
+
+// curveRun is a stretch budgets[lo:hi] of ascending budgets measured
+// over the staircases fs of one memo bound.
+type curveRun struct {
+	hop, lo, hi int
+	fs          []core.Frontier
+}
+
+// integrateCurve sums every pair's success measure on [a, b] at each
+// ascending budget under the memo bound hopBound, using flat (zeroed,
+// pairs × budgets) for the per-pair rows. complete is false when the
+// study's context cut the frontier build or the integration short; a
+// half-built frontier set is never integrated.
+//
+// With a per-hop delay Δ, start time t is delivered within budget d iff
+// some summary has t ≤ LD, EA + Δ − t ≤ d and Hop·Δ ≤ d: the Delta == 0
+// measure at d − Δ over the class of at most h(d) hops, h(d) the largest
+// h with float64(h)·Δ <= d, capped at the bound. Ascending budgets give
+// non-decreasing h, so they split into contiguous runs, one frontier set
+// each; budgets below Δ (negative and NaN ones too) measure 0. With
+// Δ == 0 there is one run: the bound itself over the budgets as given.
+// The per-pair integrations fan out across workers; the reduction runs
+// in pair order, so the curve is byte-identical at every worker count
+// and to a per-budget SuccessWithin loop.
+func (s *Study) integrateCurve(hopBound int, budgets []float64, a, b float64, flat []float64) (sum []float64, complete bool) {
+	ng := len(budgets)
+	sum = make([]float64, ng)
+	delta := s.Result.Delta
+	shifted := budgets
+	var runs []curveRun
+	if delta == 0 {
+		runs = []curveRun{{hop: hopBound, hi: ng}}
+	} else {
+		maxHop := hopBound
+		if maxHop == Unbounded {
+			maxHop = s.Result.Hops
+		}
+		shifted = make([]float64, ng)
+		h := 0
+		for g, d := range budgets {
+			for h < maxHop && float64(h+1)*delta <= d {
+				h++
+			}
+			shifted[g] = d - delta
+			if h == 0 {
+				continue // no summary fits: measure 0
+			}
+			if n := len(runs); n > 0 && runs[n-1].hop == h {
+				runs[n-1].hi = g + 1
+			} else {
+				runs = append(runs, curveRun{hop: h, lo: g, hi: g + 1})
+			}
+		}
+	}
+	for i := range runs {
+		runs[i].fs = s.frontiersFor(runs[i].hop)
+	}
+	if s.Err() != nil {
+		return sum, false
+	}
+	cancelled := par.DoCtx(s.ctx, len(s.Pairs), s.workers, func(i int) {
+		row := flat[i*ng : (i+1)*ng]
+		for _, r := range runs {
+			r.fs[i].SuccessCurve(shifted[r.lo:r.hi], a, b, row[r.lo:r.hi])
+		}
+	}) != nil
+	for i := range s.Pairs {
+		for g, v := range flat[i*ng : (i+1)*ng] {
+			sum[g] += v
+		}
+	}
+	return sum, !cancelled
 }
 
 // successProbs returns the normalized success curve: successCurve
@@ -554,16 +601,8 @@ func (s *Study) SuccessProbability(d float64, hopBound int) float64 {
 	if b <= a {
 		return 0
 	}
-	fs := s.frontiersFor(hopBound)
-	vals := make([]float64, len(fs))
-	par.DoCtx(s.ctx, len(fs), s.workers, func(i int) {
-		vals[i] = fs[i].SuccessWithin(d, a, b)
-	})
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / (float64(len(fs)) * (b - a))
+	sum, _ := s.integrateCurve(s.memoBound(hopBound), []float64{d}, a, b, make([]float64, len(s.Pairs)))
+	return s.normalize(sum, a, b)[0]
 }
 
 // DelayCDF is the empirical CDF of the optimal delay for one hop-bound
@@ -696,19 +735,6 @@ func (s *Study) DiameterAtDelay(eps float64, grid []float64) []int {
 			out[i] = s.Result.Hops
 		}
 	}
-	return out
-}
-
-// MinDelayDist collects, over all pairs, the minimum achievable delay
-// within the window for the given hop bound (+Inf when a pair is never
-// connected) — a compact connectivity summary.
-func (s *Study) MinDelayDist(hopBound int) []float64 {
-	a, b := s.View.Start(), s.View.End()
-	fs := s.frontiersFor(hopBound)
-	out := make([]float64, len(fs))
-	par.DoCtx(s.ctx, len(fs), s.workers, func(i int) {
-		out[i] = fs[i].MinDelay(a, b)
-	})
 	return out
 }
 

@@ -146,26 +146,6 @@ func TestDiameterAtDelay(t *testing.T) {
 	}
 }
 
-func TestMinDelayDist(t *testing.T) {
-	s := mustStudy(t, line())
-	ds := s.MinDelayDist(Unbounded)
-	if len(ds) != 6 {
-		t.Fatalf("got %d values", len(ds))
-	}
-	// Every pair in the line trace is reachable at some time.
-	for i, d := range ds {
-		if math.IsInf(d, 1) {
-			t.Errorf("pair %v unreachable", s.Pairs[i])
-		}
-	}
-	// Minimum delay 0 for directly connected pairs.
-	for i, p := range s.Pairs {
-		if p[0] == 0 && p[1] == 1 && ds[i] != 0 {
-			t.Errorf("pair (0,1) min delay %v, want 0", ds[i])
-		}
-	}
-}
-
 func TestFindDeliveryExample(t *testing.T) {
 	// Chain of 4 devices: pair (0,3) needs exactly 3 hops.
 	tr := &trace.Trace{

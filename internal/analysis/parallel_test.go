@@ -44,7 +44,6 @@ func TestStudyWorkerEquivalence(t *testing.T) {
 	refDiam, refWorst := ref.Diameter(0.01, grid)
 	refAtDelay := ref.DiameterAtDelay(0.01, grid)
 	refVsEps := ref.DiameterVsEpsilon([]float64{0.01, 0.05, 0.2}, grid)
-	refMinDelay := ref.MinDelayDist(2)
 	refProb := ref.SuccessProbability(600, Unbounded)
 
 	for _, w := range []int{2, 8} {
@@ -64,9 +63,6 @@ func TestStudyWorkerEquivalence(t *testing.T) {
 		}
 		if got := st.DiameterVsEpsilon([]float64{0.01, 0.05, 0.2}, grid); !reflect.DeepEqual(got, refVsEps) {
 			t.Fatalf("workers=%d: DiameterVsEpsilon differs", w)
-		}
-		if got := st.MinDelayDist(2); !reflect.DeepEqual(got, refMinDelay) {
-			t.Fatalf("workers=%d: MinDelayDist differs", w)
 		}
 		if got := st.SuccessProbability(600, Unbounded); got != refProb {
 			t.Fatalf("workers=%d: SuccessProbability %v, want %v", w, got, refProb)

@@ -23,7 +23,6 @@ func formatAggregates(s *Study, grid []float64) string {
 	fmt.Fprintf(&b, "diameter %d %v\n", d, worst)
 	fmt.Fprintf(&b, "vs-eps %v\n", s.DiameterVsEpsilon([]float64{0.01, 0.05, 0.2}, grid))
 	fmt.Fprintf(&b, "at-delay %v\n", s.DiameterAtDelay(0.05, grid))
-	fmt.Fprintf(&b, "min-delay %v\n", s.MinDelayDist(Unbounded))
 	fmt.Fprintf(&b, "p600 %v\n", s.SuccessProbability(600, Unbounded))
 	return b.String()
 }

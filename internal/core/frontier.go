@@ -175,9 +175,9 @@ func (f Frontier) Delay(t float64) float64 {
 // SuccessWithin returns the Lebesgue measure of starting times
 // t ∈ [a, b] whose optimal delay is at most d. Dividing by (b − a) gives
 // the per-pair success probability of paper §4.1 for a uniformly random
-// starting time. For Delta == 0 the measure is exact (the delay profile
-// is piecewise max(0, EA_i − t)); for Delta > 0 it is estimated on a
-// dense grid. It is SuccessCurve with a single budget.
+// starting time. The measure is exact: the delay profile is piecewise
+// max(0, EA_i − t). It is SuccessCurve with a single budget, and like it
+// panics on a Frontier with Delta != 0.
 func (f Frontier) SuccessWithin(d, a, b float64) float64 {
 	budgets := [1]float64{d}
 	var out [1]float64
@@ -192,28 +192,38 @@ func (f Frontier) SuccessWithin(d, a, b float64) float64 {
 // additions, in the same order, as a separate SuccessWithin call, so
 // the curve is bit-identical to the per-budget loop.
 //
-// For Delta == 0, an entry's segment (left, segEnd] contributes
-// segEnd − max(left, EA − d): nothing while EA − d ≥ segEnd, all of
-// segEnd − left once EA − d ≤ left, and a partial measure in between.
-// Both thresholds are monotone in d, so two binary searches per entry
-// find them and only the partial band evaluates the max. For Delta > 0
-// the 2048 sampled delays are computed once and each is counted at the
-// first budget it meets; a prefix sum turns the counts into hits.
+// An entry's segment (left, segEnd] contributes segEnd − max(left,
+// EA − d): nothing while EA − d ≥ segEnd, all of segEnd − left once
+// EA − d ≤ left, and a partial measure in between. Both thresholds are
+// monotone in d, so two binary searches per entry find them and only
+// the partial band evaluates the max.
+//
+// It measures a Delta == 0 staircase only and panics on a Frontier with
+// Delta != 0, a programming error: a per-hop delay Δ turns budget d into
+// the Delta == 0 budget d − Δ over the staircase of summaries with at
+// most ⌊d/Δ⌋ hops, which analysis.Study builds from the archive.
 func (f Frontier) SuccessCurve(budgets []float64, a, b float64, out []float64) {
+	if f.Delta != 0 {
+		panic("core: SuccessCurve on a Delta != 0 frontier")
+	}
+	successCurve2D(f.Entries, budgets, a, b, out)
+}
+
+// successCurve2D is SuccessCurve's walk over the staircase es. It is a
+// function of its own because the panic above, compiled into the same
+// function, made the walk about 10% slower (go1.24, fresh-grid daemon
+// queries on quick Infocom05).
+func successCurve2D(es []Entry, budgets []float64, a, b float64, out []float64) {
 	out = out[:len(budgets)]
 	clear(out)
-	if b <= a || len(f.Entries) == 0 {
+	if b <= a || len(es) == 0 {
 		return
 	}
 	// Negative budgets (and NaNs, sorted before them) measure nothing.
 	g0 := sort.Search(len(budgets), func(g int) bool { return budgets[g] >= 0 })
 	bs, acc := budgets[g0:], out[g0:]
-	if f.Delta != 0 {
-		f.successCurveDelta(bs, a, b, acc)
-		return
-	}
 	left := a
-	for _, e := range f.Entries {
+	for _, e := range es {
 		if e.LD <= left {
 			continue
 		}
@@ -235,74 +245,6 @@ func (f Frontier) SuccessCurve(budgets []float64, a, b float64, out []float64) {
 			break
 		}
 	}
-}
-
-// successWithinDeltaSamples controls the grid resolution of the sampled
-// success measure used when Delta > 0.
-const successWithinDeltaSamples = 2048
-
-// successCurveDelta is SuccessCurve's sampled Delta > 0 measure over
-// non-negative ascending budgets, into a zeroed acc. A sample counts
-// when its start time is delivered at all (a finite Del) within the
-// budget: with an infinite budget an unreachable start time must still
-// miss.
-func (f Frontier) successCurveDelta(bs []float64, a, b float64, acc []float64) {
-	step := (b - a) / successWithinDeltaSamples
-	for i := 0; i < successWithinDeltaSamples; i++ {
-		t := a + (float64(i)+0.5)*step
-		del := f.Del(t)
-		if math.IsInf(del, 1) {
-			continue
-		}
-		dl := del - t
-		if g := sort.Search(len(bs), func(g int) bool { return dl <= bs[g] }); g < len(bs) {
-			acc[g]++
-		}
-	}
-	hits := 0.0
-	for g, c := range acc {
-		hits += c
-		acc[g] = hits * step
-	}
-}
-
-// MinDelay returns the smallest optimal delay over starting times in
-// [a, b], or +Inf if the pair is unreachable throughout. For Delta == 0
-// the delay profile on segment (LD_{i−1}, LD_i] is max(0, EA_i − t),
-// minimized at the segment's right edge.
-func (f Frontier) MinDelay(a, b float64) float64 {
-	if len(f.Entries) == 0 || b < a {
-		return Inf
-	}
-	if f.Delta != 0 {
-		best := Inf
-		step := (b - a) / successWithinDeltaSamples
-		for i := 0; i <= successWithinDeltaSamples; i++ {
-			t := a + float64(i)*step
-			if dl := f.Del(t) - t; dl < best {
-				best = dl
-			}
-		}
-		return best
-	}
-	best := Inf
-	left := a
-	for _, e := range f.Entries {
-		if e.LD <= left {
-			continue
-		}
-		t := math.Min(e.LD, b) // delay is non-increasing within the segment
-		if t >= left {
-			if dl := math.Max(0, e.EA-t); dl < best {
-				best = dl
-			}
-		}
-		left = e.LD
-		if left >= b {
-			break
-		}
-	}
-	return best
 }
 
 // MaxHop returns the largest hop count among frontier entries, 0 when
@@ -490,7 +432,9 @@ func sweep2D(sorted []Entry, maxHop int32, slot []Entry) []Entry {
 // from a pair's archive sorted by Result.SortedArchiveInto. It works
 // entirely inside slot, which must be at least as long as sorted, and
 // the returned Frontier aliases it; sorted is only read, so one sorted
-// archive serves every hop bound. The entries equal Result.Frontier's.
+// archive serves every hop bound. For a Delta == 0 result the entries
+// equal Result.Frontier's; for a Delta > 0 archive the staircase is the
+// one whose Delta == 0 measure gives the class's delivery measure.
 func FrontierFromSorted(sorted []Entry, maxHop int, slot []Entry) Frontier {
 	return Frontier{Entries: sweep2D(sorted, hopBound(maxHop), slot)}
 }

@@ -376,22 +376,6 @@ func TestSuccessWithinDegenerate(t *testing.T) {
 	}
 }
 
-func TestMinDelay(t *testing.T) {
-	f := Frontier{Entries: []Entry{{LD: 10, EA: 20}}}
-	// Delay is 20−t for t ∈ [a, 10]; minimal at t = 10 → 10.
-	if got := f.MinDelay(0, 100); got != 10 {
-		t.Errorf("MinDelay = %v, want 10", got)
-	}
-	// Window ending before LD: minimal at t = 5 → 15.
-	if got := f.MinDelay(0, 5); got != 15 {
-		t.Errorf("MinDelay = %v, want 15", got)
-	}
-	var empty Frontier
-	if !math.IsInf(empty.MinDelay(0, 10), 1) {
-		t.Error("empty frontier MinDelay should be +Inf")
-	}
-}
-
 func TestFrontier3DAdd(t *testing.T) {
 	var f frontier3D
 	f.add(Entry{LD: 10, EA: 5, Hop: 3})
@@ -481,27 +465,6 @@ func TestFrontier3DMatchesBruteForce(t *testing.T) {
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSuccessWithinDeltaSampled(t *testing.T) {
-	// The sampled measure with TransmitDelay must be monotone in the
-	// budget and bounded by the window length.
-	f := Frontier{Delta: 2, Entries: []Entry{
-		{LD: 50, EA: 10, Hop: 2},
-		{LD: 90, EA: 70, Hop: 1},
-	}}
-	prev := -1.0
-	for d := 0.0; d <= 100; d += 5 {
-		v := f.SuccessWithin(d, 0, 100)
-		if v < prev-1e-9 || v > 100 {
-			t.Fatalf("sampled SuccessWithin not monotone/bounded at %v: %v", d, v)
-		}
-		prev = v
-	}
-	// Delivery always takes at least Hop*Delta, so a tiny budget fails.
-	if v := f.SuccessWithin(1, 0, 100); v != 0 {
-		t.Fatalf("budget below Hop*Delta should never succeed, got %v", v)
 	}
 }
 

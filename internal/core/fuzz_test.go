@@ -46,14 +46,14 @@ func FuzzParetoSet(f *testing.F) {
 }
 
 // FuzzSuccessCurve differentially checks the one-pass curve kernel
-// against the per-budget reference loop, bit for bit, for both delay
-// models: fuzzed frontiers (built through ParetoSet), windows, and
-// grids mixing negative, zero, duplicate, infinite and NaN budgets.
+// against the per-budget reference loop, bit for bit: fuzzed frontiers
+// (built through ParetoSet), windows, and grids mixing negative, zero,
+// duplicate, infinite and NaN budgets.
 func FuzzSuccessCurve(f *testing.F) {
-	f.Add([]byte{10, 20, 30, 25, 60, 90}, []byte{0, 1, 2, 5, 5, 40}, int16(0), int16(100), uint8(0), uint8(4))
-	f.Add([]byte{110, 100}, []byte{2, 200, 255}, int16(0), int16(1000), uint8(3), uint8(16))
-	f.Add([]byte{1, 9, 2, 2, 7, 3, 9, 9, 200, 4}, []byte{3, 4, 1, 0, 2, 2}, int16(-40), int16(30), uint8(9), uint8(1))
-	f.Fuzz(func(t *testing.T, entries, grid []byte, lo, hi int16, scale, delta uint8) {
+	f.Add([]byte{10, 20, 30, 25, 60, 90}, []byte{0, 1, 2, 5, 5, 40}, int16(0), int16(100), uint8(0))
+	f.Add([]byte{110, 100}, []byte{2, 200, 255}, int16(0), int16(1000), uint8(3))
+	f.Add([]byte{1, 9, 2, 2, 7, 3, 9, 9, 200, 4}, []byte{3, 4, 1, 0, 2, 2}, int16(-40), int16(30), uint8(9))
+	f.Fuzz(func(t *testing.T, entries, grid []byte, lo, hi int16, scale uint8) {
 		unit := 1 + float64(scale)/7
 		var p ParetoSet
 		for i := 0; i+2 < len(entries) && i < 3*64; i += 3 {
@@ -83,11 +83,7 @@ func FuzzSuccessCurve(f *testing.F) {
 		}
 		slices.Sort(budgets)
 		a, b := float64(lo)*unit, float64(hi)*unit
-		fr := Frontier{Entries: p.Entries()}
-		checkCurveBits(t, fr, budgets, a, b)
-		fr.Delta = 0.25 + float64(delta)/4
-		checkCurveBits(t, fr, budgets, a, b)
-		checkCurveBits(t, fr.Indexed(), budgets, a, b)
+		checkCurveBits(t, Frontier{Entries: p.Entries()}, budgets, a, b)
 	})
 }
 
@@ -156,6 +152,70 @@ func FuzzComputeVsFlood(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzExtendSplits checks the incremental engine under fuzzed batch
+// splits: a tiny trace laid out as in FuzzComputeVsFlood (data[1] picks
+// the appender's seal cadence instead of a probe time) is fed through
+// timeline.Appender in batches of 1 + cut%8 contacts, one per cuts byte
+// (the rest in one final batch), with Engine.Extend after every batch
+// whose cut byte is below 128 and after the last. After every Extend
+// the frontiers must equal a cold ComputeView over that same snapshot,
+// directed or not, with TransmitDelay 0 or positive.
+func FuzzExtendSplits(f *testing.F) {
+	f.Add([]byte{2, 5, 0, 1, 0, 10, 1, 2, 20, 10, 2, 3, 25, 15}, []byte{0, 1}, false, uint8(0))
+	f.Add([]byte{6, 3, 0, 2, 0, 9, 2, 1, 20, 1, 1, 3, 40, 7, 3, 4, 8, 60, 4, 5, 100, 3, 5, 0, 200, 30, 0, 5, 10, 0}, []byte{130, 2, 0, 7}, true, uint8(9))
+	f.Add([]byte{7, 0, 0, 6, 50, 50, 6, 1, 50, 0, 1, 2, 50, 0, 2, 3, 140, 0, 3, 0, 250, 5, 0, 6, 50, 50}, []byte{255, 255, 3}, false, uint8(200))
+	f.Fuzz(func(t *testing.T, data, cuts []byte, directed bool, delay uint8) {
+		if len(data) < 2 {
+			return
+		}
+		n := 2 + int(data[0])%7
+		meta := &trace.Trace{Name: "fuzz", Start: 0, End: 320, Kinds: make([]trace.Kind, n)}
+		var contacts []trace.Contact
+		for i := 2; i+3 < len(data) && len(contacts) < 40; i += 4 {
+			a := trace.NodeID(int(data[i]) % n)
+			b := trace.NodeID(int(data[i+1]) % n)
+			if a == b {
+				b = (a + 1) % trace.NodeID(n)
+			}
+			beg := float64(data[i+2])
+			contacts = append(contacts, trace.Contact{A: a, B: b, Beg: beg, End: beg + float64(data[i+3]%64)})
+		}
+		var delta float64
+		if delay > 0 {
+			delta = float64(delay) / 8
+		}
+		opt := Options{Directed: directed, TransmitDelay: delta, Workers: 1}
+		app, err := timeline.NewAppender(meta, 1+int(data[1]%16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := NewEngine(opt)
+		for i := 0; len(contacts) > 0; i++ {
+			k, extend := len(contacts), true
+			if i < len(cuts) {
+				k, extend = min(k, 1+int(cuts[i]%8)), cuts[i] < 128
+			}
+			if err := app.Append(contacts[:k]); err != nil {
+				t.Fatal(err)
+			}
+			contacts = contacts[k:]
+			if !extend && len(contacts) > 0 {
+				continue
+			}
+			v := app.Snapshot().All()
+			got, err := eng.Extend(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ComputeView(v, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameFrontiers(t, got, want)
 		}
 	})
 }

@@ -2,20 +2,24 @@ package server
 
 import (
 	"flag"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"opportunet/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/responses.golden from the current handler output")
 
 // goldenRequests is the fixed request set TestResponsesGolden pins:
 // every query endpoint with default and explicit parameters, plus the
-// 400/404 error shapes. /v1/datasets is left out — its load_ms is wall
-// time.
+// 400/404 error shapes. /v1/datasets follows them, with its wall-time
+// load_ms masked to 0.
 var goldenRequests = []string{
 	"/v1/path?dataset=synth&src=0&dst=1",
 	"/v1/path?dataset=synth&src=0&dst=1&t=300",
@@ -36,23 +40,53 @@ var goldenRequests = []string{
 	"/v1/delaycdf?dataset=synth&hops=1,x",
 }
 
+// goldenDelayRequests are pinned last, against a server of their own
+// whose one dataset is testTrace loaded with a 30 s per-hop
+// transmission delay: registering it beside testDataset would change
+// the blocks above that omit dataset.
+var goldenDelayRequests = []string{
+	"/v1/diameter?dataset=synth-delay30",
+	"/v1/delaycdf?dataset=synth-delay30&hops=1,0&points=12",
+	"/v1/path?dataset=synth-delay30&src=0&dst=1&t=300",
+}
+
+var loadMillis = regexp.MustCompile(`"load_ms":[0-9]+`)
+
 // TestResponsesGolden pins the daemon's wire format: status,
 // Content-Type and body bytes of every request in goldenRequests,
-// served against testDataset, must match testdata/responses.golden.
-// Run with -update to regenerate the file after an intended change.
+// served against testDataset, then of /v1/datasets and of
+// goldenDelayRequests, must match testdata/responses.golden. Run with
+// -update to regenerate the file after an intended change.
 func TestResponsesGolden(t *testing.T) {
 	s := New(Config{})
 	s.Register(testDataset(t))
 	s.SetReady(true)
 	h := s.Handler()
 
-	blocks := make([]string, len(goldenRequests))
-	for i, url := range goldenRequests {
+	tr := testTrace(t)
+	tr.Name = "synth-delay30"
+	ds, err := LoadDataset(tr, LoadOptions{Core: core.Options{TransmitDelay: 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := New(Config{})
+	sd.Register(ds)
+	sd.SetReady(true)
+
+	serve := func(h http.Handler, url string) string {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-		blocks[i] = "GET " + url + "\n" +
+		return "GET " + url + "\n" +
 			strconv.Itoa(rec.Code) + " " + rec.Header().Get("Content-Type") + "\n" +
 			rec.Body.String()
+	}
+	var blocks []string
+	for _, url := range goldenRequests {
+		blocks = append(blocks, serve(h, url))
+	}
+	blocks = append(blocks, loadMillis.ReplaceAllString(serve(h, "/v1/datasets"), `"load_ms":0`))
+	for _, url := range goldenDelayRequests {
+		blocks = append(blocks, serve(sd.Handler(), url))
 	}
 	got := strings.Join(blocks, "\n")
 

@@ -208,45 +208,12 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/v1/path", s.endpoint("path", true, s.handlePath))
 	mux.Handle("/v1/diameter", s.endpoint("diameter", true, s.handleDiameter))
 	mux.Handle("/v1/delaycdf", s.endpoint("delaycdf", true, s.handleDelayCDF))
-	if s.tracer.Recorder() != nil {
-		mux.HandleFunc("/debug/requests", s.handleDebugRequests)
-	}
+	// The flight recorder: the last N completed request traces with the
+	// tail-biased retention merged in. An operator endpoint — it skips
+	// the admission pipeline so it stays inspectable while the server is
+	// drowning; without a recorder it answers 404.
+	mux.Handle("/debug/requests", s.tracer.Recorder())
 	return mux
-}
-
-// handleDebugRequests serves the flight recorder: the last N completed
-// request traces (newest first) with the tail-biased retention merged
-// in, filterable by ?endpoint= and ?disposition= and capped by ?limit=.
-// An operator endpoint — it allocates freely and skips the admission
-// pipeline so it stays inspectable while the server is drowning.
-func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	params := r.URL.Query()
-	f := obs.TraceFilter{
-		Endpoint:    params.Get("endpoint"),
-		Disposition: params.Get("disposition"),
-	}
-	if f.Disposition != "" {
-		if _, ok := obs.ParseDisposition(f.Disposition); !ok {
-			writeJSONError(w, nil, badRequest("bad disposition %q: want ok|shed|error", f.Disposition))
-			return
-		}
-	}
-	if v := params.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeJSONError(w, nil, badRequest("bad limit %q: want a positive integer", v))
-			return
-		}
-		f.Limit = n
-	}
-	snaps := s.tracer.Recorder().Snapshot(f)
-	if snaps == nil {
-		snaps = []obs.TraceSnapshot{}
-	}
-	writeJSON(w, nil, http.StatusOK, map[string]any{
-		"count":    len(snaps),
-		"requests": snaps,
-	})
 }
 
 // httpError carries a status code (and optional Retry-After) from a
